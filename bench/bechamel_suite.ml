@@ -223,29 +223,29 @@ let scan_report () =
   let iters = 100 in
   let pages = float_of_int (iters * 4096) in
   let w0 = Gc.minor_words () in
-  (* skulklint: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
+  (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
   let t0 = Sys.time () in
   for _ = 1 to iters do
     Memory.Ksm.scan_once ksm
   done;
-  (* skulklint: allow wall-clock — closes the host-clock interval opened above *)
+  (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
   let scan_s = Sys.time () -. t0 in
   let scan_words = (Gc.minor_words () -. w0) /. pages in
   let scan_ns = scan_s *. 1e9 /. pages in
   let d = dirty_wordscan_world () in
   let dirty_iters = 2000 in
   let dirty_pages = float_of_int (dirty_iters * Memory.Dirty.length d) in
-  (* skulklint: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
+  (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
   let t1 = Sys.time () in
   let sink = ref 0 in
   for _ = 1 to dirty_iters do
     sink := Memory.Dirty.fold_dirty d (fun acc i -> acc + i) !sink
   done;
-  (* skulklint: allow wall-clock — closes the host-clock interval opened above *)
+  (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
   let dirty_ns = (Sys.time () -. t1) *. 1e9 /. dirty_pages in
   (* Event-engine record: the heap rows are measured live (Event_heap is
-     the pre-overhaul implementation, preserved in-tree as the reference
-     oracle), so the wheel-vs-heap speedup is an apples-to-apples number
+     the pre-overhaul implementation, preserved under bench/event_heap/
+     as the reference oracle), so the wheel-vs-heap speedup is an apples-to-apples number
      from the same machine and build. *)
   let q_ops = 1_000_000 in
   let wheel_1e3 = Event_bench.queue_ns_per_op Event_bench.wheel ~pending:1_000 ~ops:q_ops in
@@ -275,12 +275,12 @@ let scan_report () =
     best_of3 (fun () ->
         let sk = Sim.Stats.Sketch.create () in
         let passes = 10 in
-        (* skulklint: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
+        (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
         let t = Sys.time () in
         for _ = 1 to passes do
           Array.iter (Sim.Stats.Sketch.add sk) sk_xs
         done;
-        (* skulklint: allow wall-clock — closes the host-clock interval opened above *)
+        (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
         (Sys.time () -. t) *. 1e9 /. float_of_int (passes * Array.length sk_xs))
   in
   let sk_src =
@@ -292,12 +292,12 @@ let scan_report () =
   let sk_agg = Sim.Stats.Sketch.create () in
   let sketch_merge_ns =
     best_of3 (fun () ->
-        (* skulklint: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
+        (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
         let t = Sys.time () in
         for _ = 1 to merge_iters do
           Sim.Stats.Sketch.merge_into ~into:sk_agg sk_src
         done;
-        (* skulklint: allow wall-clock — closes the host-clock interval opened above *)
+        (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
         (Sys.time () -. t) *. 1e9 /. float_of_int merge_iters)
   in
   (* Fleet throughput at datacenter sizes, sharded vs single-shard.

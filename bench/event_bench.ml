@@ -14,7 +14,7 @@ module type QUEUE = sig
 end
 
 let wheel = (module Sim.Event_queue : QUEUE)
-let heap = (module Sim.Event_heap : QUEUE)
+let heap = (module Event_heap : QUEUE)
 
 (* Timer periods drawn from the mix a loaded engine actually schedules:
    overwhelmingly packet-scale work (burst serialisations, link
@@ -57,12 +57,12 @@ let steady_state_op (module Q : QUEUE) ~pending =
 let queue_ns_per_op ?(repeats = 3) qm ~pending ~ops =
   let once () =
     let op = steady_state_op qm ~pending in
-    (* skulklint: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
+    (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
     let t0 = Sys.time () in
     for _ = 1 to ops do
       op ()
     done;
-    (* skulklint: allow wall-clock — closes the host-clock interval opened above *)
+    (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
     (Sys.time () -. t0) *. 1e9 /. float_of_int ops
   in
   let best = ref (once ()) in
@@ -110,7 +110,7 @@ let ksm_rescan_ns_per_dirtied_page ~incremental ~iters =
   let rng = Sim.Rng.create 23 in
   let dirtied_per_iter = 164 in
   let stamp = ref 1_000_000 in
-  (* skulklint: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
+  (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
   let t0 = Sys.time () in
   for _ = 1 to iters do
     for _ = 1 to dirtied_per_iter do
@@ -122,5 +122,5 @@ let ksm_rescan_ns_per_dirtied_page ~incremental ~iters =
     done;
     Memory.Ksm.scan_once ksm
   done;
-  (* skulklint: allow wall-clock — closes the host-clock interval opened above *)
+  (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
   (Sys.time () -. t0) *. 1e9 /. float_of_int (iters * dirtied_per_iter)

@@ -1,5 +1,5 @@
 (* The original binary-heap event queue, kept as the reference
-   implementation: the timing-wheel [Event_queue] must stay
+   implementation: the timing-wheel [Sim.Event_queue] must stay
    observably byte-identical to this structure, and the differential
    tests and throughput benchmarks compare against it.
 
@@ -11,7 +11,7 @@
 type handle = int
 
 type 'a entry = {
-  time : Time.t;
+  time : Sim.Time.t;
   seq : int;
   id : handle;
   payload : 'a;
@@ -38,7 +38,7 @@ let is_empty t = Hashtbl.length t.pending = 0
 let size t = Hashtbl.length t.pending
 
 let before a b =
-  match Time.compare a.time b.time with
+  match Sim.Time.compare a.time b.time with
   | 0 -> a.seq < b.seq
   | c -> c < 0
 

@@ -294,7 +294,7 @@ let run (p : Program.t) =
   let emit f = feats := f :: !feats in
   let violation = ref None in
   let violate v = if Option.is_none !violation then violation := Some v in
-  (* skulklint: allow sink-discipline — per-program coverage sink, local to one execution, read back only through fold_series *)
+  (* skulkscope: allow sink-discipline — per-program coverage sink, local to one execution, read back only through fold_series *)
   let sink = Sim.Telemetry.create () in
   let violated () = Option.is_some !violation in
   (try exec_world p ~sink ~emit ~violate ~violated with

@@ -10,12 +10,12 @@
    is O(1) amortised, with no per-event hashing.
 
    Determinism. The external contract is identical to the binary heap
-   this replaces ({!Event_heap}): events come out ordered by
-   [(time, seq)] where [seq] is the push order. The wheel never needs to
-   preserve insertion order internally: when a level-0 slot's window
-   becomes current, its due entries are sorted by [(time, seq)] - a
-   total order because [seq] is unique - into the [due] buffer, so
-   same-timestamp FIFO ties are exact by construction.
+   this replaces (kept as [Event_heap] under bench/): events come out
+   ordered by [(time, seq)] where [seq] is the push order. The wheel
+   never needs to preserve insertion order internally: when a level-0
+   slot's window becomes current, its due entries are sorted by
+   [(time, seq)] - a total order because [seq] is unique - into the
+   [due] buffer, so same-timestamp FIFO ties are exact by construction.
 
    Placement invariant. Every entry stored in a wheel slot lies inside
    the *nearest upcoming occurrence* of that slot's window (slot indices

@@ -7,7 +7,7 @@
     [(time, sequence)]; the sequence number breaks ties so that events
     scheduled for the same instant fire in scheduling order, which keeps
     simulations deterministic. The observable behaviour is identical to
-    the binary-heap reference implementation {!Event_heap}. *)
+    the binary-heap reference implementation kept in bench/event_heap/. *)
 
 type 'a t
 

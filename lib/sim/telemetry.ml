@@ -3,8 +3,8 @@
    Everything here is deterministic by construction: values are driven
    by simulation events, spans carry virtual {!Time.t} instants, and the
    exporters order their output by sorted series name - never by hash
-   order or wall clock. A sink is threaded through the substrate as a
-   [t option] mirroring the [?trace] idiom; handles created against
+   order or wall clock. A sink rides in the [Ctx.t] threaded through the
+   substrate, which hands it out as a [t option]; handles created against
    [None] are physically [None] and every bump on them is a single
    match, so a run without telemetry does no extra work and allocates
    nothing on the hot path. *)

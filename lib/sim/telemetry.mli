@@ -8,8 +8,8 @@
     - {b spans} - named intervals of {e simulation} time with structured
       [key=value] fields, exported as one JSON object per line.
 
-    The sink is threaded through constructors as a [t option], mirroring
-    the [?trace] idiom used everywhere in [lib/]. Instrument code by
+    The sink rides in the {!Ctx.t} threaded through [lib/] (read it back
+    with {!Ctx.telemetry}, a [t option]). Instrument code by
     creating a handle once ({!counter}, {!gauge}, {!histogram}) and
     bumping it on the hot path: a handle created against [None] is a
     physical [None], so the disabled case is a single pattern match with
@@ -22,7 +22,7 @@
       engine;
     - exporters emit series in sorted order and spans in recording order,
       so equal runs produce byte-equal exports. Per-trial sinks merged
-      with {!merge_into} in trial order (see {!Parallel.map_instrumented})
+      with {!merge_into} in trial order (see {!Parallel.map_ctx})
       make exports independent of worker count. *)
 
 type t
@@ -38,7 +38,7 @@ val create : ?span_capacity:int -> unit -> t
 
 val create_like : t -> t
 (** An empty sink with the same configuration - used for per-trial child
-    sinks in {!Parallel.map_instrumented}. *)
+    sinks in {!Parallel.map_ctx}. *)
 
 val enabled : t option -> bool
 

@@ -15,6 +15,7 @@ type result = {
 (* A representative fileserver op mix: mostly small reads/writes with a
    create+delete pair every few ops. Costs come from the same
    calibration family as the lmbench fs rows. *)
+(* skulkscope: allow toplevel-mutable — a constant table built once at module initialisation and only ever read (op_mix.(i)), never written *)
 let op_mix =
   [|
     Vmm.Cost_model.op ~name:"fb-read" ~cpu:(Sim.Time.us 6.) ~sw_exits:0.5 ~hw_faults_l2:1.5 ();

@@ -1,7 +1,7 @@
 (* Regression tests for listing-order determinism: the three functions
    that read a Hashtbl out into a list must return the same ordering no
    matter what insertion history produced the table. These pin the
-   fixes flagged by skulklint's hashtbl-order rule. *)
+   fixes flagged by the hashtbl-order lint rule. *)
 
 let mk_host () =
   let ctx = Sim.Ctx.create () in

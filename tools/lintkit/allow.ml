@@ -1,18 +1,17 @@
-(* The two suppression mechanisms, shared by both linters:
+(* The two suppression mechanisms:
 
    - inline comments: [(* <tool>: allow <rule>[, <rule>...] — reason *)]
      suppresses the named rules on the comment's own line and the line
      below it. The reason (after "—", "--" or " - ") is mandatory; an
      allow without one is itself a finding, and so is an allow that
-     suppresses nothing (stale allows rot fast). The marker is
-     per-tool ("skulklint: allow" / "skulkscope: allow") so a
-     suppression states which analysis it is talking to.
+     suppresses nothing (stale allows rot fast). The marker names the
+     tool ("skulkscope: allow") so a suppression states which analysis
+     it is talking to.
 
    - the checked-in allow file (lint.allow): one entry per line,
      [<path> <rule> <reason...>]. A path ending in "/" covers the whole
-     subtree. Rule names are disjoint across the two tools, so one
-     shared file serves both. Used for policy-level exceptions that are
-     not tied to a single source line. *)
+     subtree. Used for policy-level exceptions that are not tied to a
+     single source line. *)
 
 type comment_allow = {
   ca_line : int;
@@ -64,7 +63,7 @@ let parse_rules s =
   |> List.filter (fun t -> t <> "" && String.for_all is_rule_char t)
 
 (* Scan raw source text for allow comments, line by line. [marker] is
-   the tool-specific prefix, e.g. "skulklint: allow". Lexical subtlety
+   the tool-specific prefix, e.g. "skulkscope: allow". Lexical subtlety
    (allows inside string literals) is deliberately ignored: the marker
    is specific enough that false matches do not happen in practice, and
    a spurious one surfaces as an unused-allow finding. *)
@@ -134,10 +133,10 @@ let comment_covers allows ~line ~rule =
     allows
 
 (* Findings about the allow comments themselves. *)
-let comment_findings ~tool ~file allows : Report.finding list =
+let comment_findings ~file allows : Report.finding list =
   List.concat_map
     (fun ca ->
-      let at message rule = { Report.tool; rule; file; line = ca.ca_line; col = 0; message } in
+      let at message rule = { Report.rule; file; line = ca.ca_line; col = 0; message } in
       let bad_syntax =
         if ca.ca_rules = [] then
           [ at "allow comment names no known-shaped rule" "allow-syntax" ]

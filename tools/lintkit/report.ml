@@ -1,10 +1,7 @@
 (* Findings and the three report formats (human text, GitHub Actions
-   annotations, JSON), shared by skulklint and skulkscope. Each finding
-   carries the tool that produced it, so reports merged across tools
-   stay attributable. *)
+   annotations, JSON). *)
 
 type finding = {
-  tool : string;
   rule : string;
   file : string;
   line : int;
@@ -18,10 +15,7 @@ let compare_finding a b =
     match Int.compare a.line b.line with
     | 0 -> (
       match Int.compare a.col b.col with
-      | 0 -> (
-        match String.compare a.rule b.rule with
-        | 0 -> String.compare a.tool b.tool
-        | c -> c)
+      | 0 -> String.compare a.rule b.rule
       | c -> c)
     | c -> c)
   | c -> c
@@ -55,9 +49,8 @@ let github_escape s =
   Buffer.contents buf
 
 let pp_github ppf f =
-  Format.fprintf ppf "::error file=%s,line=%d,col=%d,title=%s %s::%s" f.file
-    (max 1 f.line) (max 1 f.col) (github_escape f.tool) (github_escape f.rule)
-    (github_escape f.message)
+  Format.fprintf ppf "::error file=%s,line=%d,col=%d,title=%s::%s" f.file
+    (max 1 f.line) (max 1 f.col) (github_escape f.rule) (github_escape f.message)
 
 let pp = function Human -> pp_human | Github -> pp_github
 
@@ -81,18 +74,14 @@ let json_escape s =
 
 let finding_to_json f =
   Printf.sprintf
-    {|{"tool":"%s","file":"%s","line":%d,"col":%d,"rule":"%s","message":"%s"}|}
-    (json_escape f.tool) (json_escape f.file) f.line f.col (json_escape f.rule)
-    (json_escape f.message)
+    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","message":"%s"}|}
+    (json_escape f.file) f.line f.col (json_escape f.rule) (json_escape f.message)
 
-(* [tools] is the single tool name for a per-tool report, or the list of
-   merged tools for the combined lint-report.json. *)
-let to_json ~tools ~files_scanned ~suppressed findings =
+let to_json ~tool ~files_scanned ~suppressed findings =
   let body = String.concat ",\n    " (List.map finding_to_json (sort findings)) in
   Printf.sprintf
     {|{
   "tool": "%s",
-  "tools": [%s],
   "files_scanned": %d,
   "suppressed": %d,
   "finding_count": %d,
@@ -101,6 +90,4 @@ let to_json ~tools ~files_scanned ~suppressed findings =
   ]
 }
 |}
-    (json_escape (String.concat "+" tools))
-    (String.concat ", " (List.map (fun t -> "\"" ^ json_escape t ^ "\"") tools))
-    files_scanned suppressed (List.length findings) body
+    (json_escape tool) files_scanned suppressed (List.length findings) body

@@ -1,76 +1,33 @@
-(* Self-tests for the shared lint plumbing: the JSON reader against the
-   JSON this library itself writes (escapes and all), report merging,
-   the GitHub annotation format, and the allow machinery both linters
-   lean on. *)
+(* Self-tests for the lint plumbing: the JSON report, the GitHub
+   annotation format, and the allow machinery. *)
 
 open Lintkit
 
-let finding ?(tool = "skulklint") ?(col = 3) ~file ~line ~rule message =
-  { Report.tool; rule; file; line; col; message }
+let finding ?(col = 3) ~file ~line ~rule message =
+  { Report.rule; file; line; col; message }
 
-(* ---- JSON: parse what we print ---- *)
+(* ---- JSON report ---- *)
 
 let json_tests =
   [
-    Alcotest.test_case "round-trip through to_json" `Quick (fun () ->
+    Alcotest.test_case "report shape, sorting and escapes" `Quick (fun () ->
         let fs =
-          [ finding ~file:"lib/a.ml" ~line:3 ~rule:"wall-clock" "uses \"now\"\n(bad)";
-            finding ~tool:"skulkscope" ~file:"lib/b.ml" ~line:9 ~rule:"rng-escape"
-              "tab\there \\ backslash" ]
+          [ finding ~file:"lib/b.ml" ~line:9 ~rule:"rng-escape" "tab\there \\ backslash";
+            finding ~file:"lib/a.ml" ~line:3 ~rule:"wall-clock" "uses \"now\"\n(bad)" ]
         in
-        let doc =
-          Report.to_json ~tools:[ "skulklint"; "skulkscope" ] ~files_scanned:42
-            ~suppressed:7 fs
-        in
-        match Merge.parse_report doc with
-        | Error msg -> Alcotest.fail msg
-        | Ok r ->
-          Alcotest.(check (list string)) "tools" [ "skulklint"; "skulkscope" ] r.tools;
-          Alcotest.(check int) "files_scanned" 42 r.files_scanned;
-          Alcotest.(check int) "suppressed" 7 r.suppressed;
-          Alcotest.(check int) "count" 2 (List.length r.findings);
-          let f = List.hd r.findings in
-          Alcotest.(check string) "message survives escapes" "uses \"now\"\n(bad)"
-            f.Report.message;
-          Alcotest.(check string) "tool attribution" "skulkscope"
-            (List.nth r.findings 1).Report.tool);
-    Alcotest.test_case "malformed JSON is a clean error" `Quick (fun () ->
-        (match Merge.parse_report "{\"findings\": [" with
-        | Ok _ -> Alcotest.fail "accepted truncated document"
-        | Error _ -> ());
-        match Merge.parse_report "{\"tool\": \"x\"}" with
-        | Ok _ -> Alcotest.fail "accepted report without findings"
-        | Error _ -> ());
+        Alcotest.(check string) "document"
+          {|{
+  "tool": "skulkscope",
+  "files_scanned": 42,
+  "suppressed": 7,
+  "finding_count": 2,
+  "findings": [
+    {"file":"lib/a.ml","line":3,"col":3,"rule":"wall-clock","message":"uses \"now\"\n(bad)"},
+    {"file":"lib/b.ml","line":9,"col":3,"rule":"rng-escape","message":"tab\there \\ backslash"}
   ]
-
-(* ---- merge ---- *)
-
-let merge_tests =
-  [
-    Alcotest.test_case "merge sums counters and re-sorts findings" `Quick
-      (fun () ->
-        let a =
-          { Merge.tools = [ "skulklint" ]; files_scanned = 10; suppressed = 1;
-            findings = [ finding ~file:"lib/z.ml" ~line:1 ~rule:"r" "m" ] }
-        and b =
-          { Merge.tools = [ "skulkscope" ]; files_scanned = 5; suppressed = 2;
-            findings = [ finding ~tool:"skulkscope" ~file:"lib/a.ml" ~line:8 ~rule:"s" "m" ] }
-        in
-        let m = Merge.merge [ a; b ] in
-        Alcotest.(check (list string)) "tools" [ "skulklint"; "skulkscope" ] m.tools;
-        Alcotest.(check int) "files" 15 m.files_scanned;
-        Alcotest.(check int) "suppressed" 3 m.suppressed;
-        Alcotest.(check (list string)) "sorted by file"
-          [ "lib/a.ml"; "lib/z.ml" ]
-          (List.map (fun (f : Report.finding) -> f.file) m.findings));
-    Alcotest.test_case "re-merging a merged report is stable" `Quick (fun () ->
-        let a =
-          { Merge.tools = [ "skulklint"; "skulkscope" ]; files_scanned = 3;
-            suppressed = 0; findings = [] }
-        in
-        let m = Merge.merge [ a; a ] in
-        Alcotest.(check (list string)) "no duplicate tools"
-          [ "skulklint"; "skulkscope" ] m.tools);
+}
+|}
+          (Report.to_json ~tool:"skulkscope" ~files_scanned:42 ~suppressed:7 fs));
   ]
 
 (* ---- github format ---- *)
@@ -82,7 +39,7 @@ let github_tests =
           finding ~file:"lib/a.ml" ~line:4 ~rule:"wall-clock" "50%\nbroken"
         in
         Alcotest.(check string) "annotation"
-          "::error file=lib/a.ml,line=4,col=3,title=skulklint wall-clock::50%25%0Abroken"
+          "::error file=lib/a.ml,line=4,col=3,title=wall-clock::50%25%0Abroken"
           (Format.asprintf "%a" Report.pp_github f));
     Alcotest.test_case "zero line/col clamp to 1" `Quick (fun () ->
         let f = finding ~col:0 ~file:"a.ml" ~line:0 ~rule:"r" "m" in
@@ -108,11 +65,11 @@ let allow_tests =
       (fun () ->
         let src =
           "let a = 1\n\
-           (* skulklint: allow wall-clock, poly-compare \xe2\x80\x94 startup only *)\n\
+           (* skulkscope: allow wall-clock, poly-compare \xe2\x80\x94 startup only *)\n\
            let b = now ()\n\
            let c = now ()\n"
         in
-        let allows = Allow.scan_comments ~marker:"skulklint: allow" src in
+        let allows = Allow.scan_comments ~marker:"skulkscope: allow" src in
         Alcotest.(check int) "one comment" 1 (List.length allows);
         Alcotest.(check bool) "covers own line" true
           (Allow.comment_covers allows ~line:2 ~rule:"wall-clock");
@@ -125,21 +82,21 @@ let allow_tests =
         Alcotest.(check (list string)) "used allow produces no meta findings"
           []
           (List.map (fun (f : Report.finding) -> f.rule)
-             (Allow.comment_findings ~tool:"skulklint" ~file:"x.ml" allows)));
+             (Allow.comment_findings ~file:"x.ml" allows)));
     Alcotest.test_case "markers are per-tool" `Quick (fun () ->
         let src = "(* skulkscope: allow rng-escape \xe2\x80\x94 reason *)\n" in
-        Alcotest.(check int) "skulklint marker does not match" 0
-          (List.length (Allow.scan_comments ~marker:"skulklint: allow" src));
+        Alcotest.(check int) "another tool's marker does not match" 0
+          (List.length (Allow.scan_comments ~marker:"otherlint: allow" src));
         Alcotest.(check int) "skulkscope marker matches" 1
           (List.length (Allow.scan_comments ~marker:"skulkscope: allow" src)));
     Alcotest.test_case "unused and reasonless allows become findings" `Quick
       (fun () ->
         let src =
-          "(* skulklint: allow wall-clock \xe2\x80\x94 reason *)\n\
-           (* skulklint: allow poly-compare *)\n"
+          "(* skulkscope: allow wall-clock \xe2\x80\x94 reason *)\n\
+           (* skulkscope: allow poly-compare *)\n"
         in
-        let allows = Allow.scan_comments ~marker:"skulklint: allow" src in
-        let metas = Allow.comment_findings ~tool:"skulklint" ~file:"x.ml" allows in
+        let allows = Allow.scan_comments ~marker:"skulkscope: allow" src in
+        let metas = Allow.comment_findings ~file:"x.ml" allows in
         Alcotest.(check (list string)) "meta findings"
           [ "allow-unused"; "allow-syntax" ]
           (List.map (fun (f : Report.finding) -> f.rule) metas));
@@ -168,5 +125,4 @@ let allow_tests =
 
 let () =
   Alcotest.run "lintkit"
-    [ ("json", json_tests); ("merge", merge_tests); ("github", github_tests);
-      ("allow", allow_tests) ]
+    [ ("json", json_tests); ("github", github_tests); ("allow", allow_tests) ]

@@ -1,4 +1,5 @@
-(* skulkscope — typed escape/determinism/context analysis over .cmt files.
+(* skulkscope — the determinism, domain-safety, context and telemetry
+   lint, run over the typedtrees in .cmt files.
 
    Usage: skulkscope [--allow FILE] [--json FILE] [--format FMT] [--rules]
                      [--build-dir DIR] [--map-prefix FROM=TO] PATH...
@@ -24,7 +25,7 @@ let usage () =
 let print_rules () =
   List.iter
     (fun (r : Skulkscope_core.Rules.rule) ->
-      Printf.printf "%-16s %-18s %s\n" r.name r.family r.summary)
+      Printf.printf "%-18s %-18s %s\n" r.name r.family r.summary)
     Skulkscope_core.Rules.catalogue
 
 let () =
@@ -90,7 +91,7 @@ let () =
       ( entries,
         List.map
           (fun (line, msg) ->
-            { Lintkit.Report.tool = "skulkscope"; rule = "allow-file-syntax";
+            { Lintkit.Report.rule = "allow-file-syntax";
               file = f; line; col = 0; message = msg })
           errs )
   in
@@ -102,7 +103,7 @@ let () =
   let out = if !json_out = Some "-" then Format.err_formatter else Format.std_formatter in
   List.iter (fun f -> Format.fprintf out "%a@." (Lintkit.Report.pp !format) f) findings;
   let json =
-    Lintkit.Report.to_json ~tools:[ "skulkscope" ]
+    Lintkit.Report.to_json ~tool:"skulkscope"
       ~files_scanned:result.files_scanned ~suppressed:result.suppressed findings
   in
   (match !json_out with

@@ -14,6 +14,13 @@
    [Ctx.create] in lib/ fires ctx-minted, a call to a function that
    transitively mints fires ctx-launder.
 
+   The same walk applies the per-expression rules: every identifier is
+   matched by its resolved path (random-global, wall-clock,
+   hashtbl-order, poly-compare, domain-spawn), every application by its
+   head (float equality, the telemetry rules), every optional parameter
+   by its label (ctx-discipline); module-level bindings are classified
+   by type (toplevel-mutable, ctx-minted).
+
    Known holes (DESIGN.md §9): a closure built by partial application
    is not expanded; a minter passed as a value (not applied) escapes
    ctx-launder; bound-variable collection is scope-insensitive over the
@@ -22,13 +29,14 @@
 
 open Lintkit
 
-let tool = "skulkscope"
-
 type ctxt = {
   t : Summary.tables;
   u : Summary.unit_info;
   local_defs : (Ident.t * Typedtree.expression) list;
   findings : Report.finding list ref;
+  (* start offsets of [Hashtbl.fold] heads whose result goes straight
+     into a sort *)
+  sanctioned : (int, unit) Hashtbl.t;
 }
 
 let emit c (rule : Rules.rule) (loc : Location.t) fmt =
@@ -37,7 +45,7 @@ let emit c (rule : Rules.rule) (loc : Location.t) fmt =
       if rule.applies c.u.u_path then
         let pos = loc.loc_start in
         c.findings :=
-          { Report.tool; rule = rule.name; file = c.u.u_path;
+          { Report.rule = rule.name; file = c.u.u_path;
             line = pos.pos_lnum; col = pos.pos_cnum - pos.pos_bol; message }
           :: !(c.findings))
     fmt
@@ -53,6 +61,17 @@ let rng_escape = rule "rng-escape"
 let rng_order = rule "rng-order"
 let ctx_minted = rule "ctx-minted"
 let ctx_launder = rule "ctx-launder"
+let random_global = rule "random-global"
+let wall_clock = rule "wall-clock"
+let hashtbl_order = rule "hashtbl-order"
+let poly_compare = rule "poly-compare"
+let toplevel_mutable = rule "toplevel-mutable"
+let domain_spawn = rule "domain-spawn"
+let ctx_discipline = rule "ctx-discipline"
+let counter_name = rule "counter-name"
+let counter_monotonic = rule "counter-monotonic"
+let sink_discipline = rule "sink-discipline"
+let span_pairing = rule "span-pairing"
 
 let key_of c (p : Path.t) =
   match p with
@@ -298,10 +317,11 @@ let collect_local_defs (str : Typedtree.structure) =
   it.Tast_iterator.structure it str;
   !defs
 
-let check_module_level_rng c =
-  (* module-level Ctx/Engine/Rng values in lib/: minted state that
-     should arrive as a parameter. Same nesting discipline as pass A:
-     descend into modules, not into expressions. *)
+(* Module-level bindings, classified by type: mutable state in lib/ is
+   shared by every trial domain; a Ctx/Engine/Rng is minted state that
+   should arrive as a parameter. Same nesting discipline as pass A:
+   descend into modules, not into expressions. *)
+let check_module_level c =
   let on_item ~prefix (item : Typedtree.structure_item) =
     match item.str_desc with
     | Tstr_value (_, vbs) ->
@@ -310,6 +330,13 @@ let check_module_level_rng c =
           List.iter
             (fun (id, ty, loc) ->
               match Classify.classify ~self:prefix c.t.records ty with
+              | Classify.Mutable desc ->
+                emit c toplevel_mutable loc
+                  "module-level `%s` has mutable type (%s), shared by every \
+                   Sim.Parallel trial domain; move it into the per-trial \
+                   state it belongs to, or use Atomic if a cross-domain \
+                   counter is really intended"
+                  (Ident.name id) desc
               | Classify.Rngish desc ->
                 emit c ctx_minted loc
                   "module-level `%s` holds a %s; mint contexts at entry \
@@ -322,12 +349,211 @@ let check_module_level_rng c =
   in
   Summary.walk_module_level ~prefix:c.u.u_prefix ~on_item c.u.u_structure
 
+(* ---- per-expression rules ---- *)
+
+(* [Some name] for a value of the standard library itself
+   ([Stdlib.compare], [Stdlib.( = )], [Stdlib.( ~- )]); a same-named
+   binding anywhere else resolves to a different path. *)
+let stdlib_value (p : Path.t) =
+  match p with
+  | Path.Pdot (Path.Pident m, name) when Ident.name m = "Stdlib" -> Some name
+  | _ -> None
+
+(* The identifier an expression is, or applies, with its location. The
+   typechecker turns [x |> f a] into [(f a) x], so look through nested
+   applications. *)
+let rec applied (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_apply (h, _) -> applied h
+  | Texp_ident (p, _, _) -> Some (p, e.exp_loc)
+  | _ -> None
+
+let offset (loc : Location.t) = loc.loc_start.pos_cnum
+
+let check_ident c (p : Path.t) loc =
+  let key = Classify.key_of_path p in
+  match (stdlib_value p, Classify.path_components p) with
+  | Some "compare", _ ->
+    emit c poly_compare loc
+      "Stdlib.compare diverges on floats (nan) and mutable structure; use \
+       the typed Int.compare / String.compare / Float.compare"
+  | _, "Random" :: what :: _ ->
+    emit c random_global loc
+      "Random.%s is process-global and not seeded per trial; draw from \
+       Sim.Rng instead"
+      what
+  | _, [ "Sys"; "time" ] ->
+    emit c wall_clock loc
+      "Sys.time reads the host clock; use sim time (Sim.Engine.now), or \
+       allow it with a reason if this really measures the simulator itself"
+  | _, [ "Unix"; (("gettimeofday" | "time" | "gmtime" | "localtime") as f) ] ->
+    emit c wall_clock loc
+      "Unix.%s reads the host clock; use sim time (Sim.Engine.now)" f
+  | _ -> (
+    if Classify.is_spawn_head key && fst (Classify.short key) <> "Parallel"
+    then
+      emit c domain_spawn loc
+        "raw %s: all fan-out goes through Sim.Parallel so trials stay \
+         deterministic and merge in order"
+        (Classify.key_to_string (Classify.short key));
+    match Classify.hashtbl_order_head key with
+    | Some fn when not (Hashtbl.mem c.sanctioned (offset loc)) ->
+      emit c hashtbl_order loc
+        "Hashtbl.%s observes hash-bucket order; pipe a fold straight into \
+         List.sort (fold ... [] |> List.sort cmp) or iterate a sorted key \
+         list"
+        fn
+    | _ -> ())
+
+(* [Hashtbl.fold ... |> List.sort cmp] and [List.sort cmp (Hashtbl.fold
+   ...)] type to the same application: a sort whose positional argument
+   is the fold. Mark the fold as sanctioned before the walk reaches it. *)
+let sanction_sorted_folds c (head : Typedtree.expression) args =
+  let is_sort =
+    match applied head with
+    | Some (p, _) -> Classify.is_sort_head (Classify.key_of_path p)
+    | None -> false
+  in
+  if is_sort then
+    List.iter
+      (function
+        | Asttypes.Nolabel, Some a -> (
+          match applied a with
+          | Some (p, loc)
+            when Classify.short (Classify.key_of_path p) = ("Hashtbl", "fold") ->
+            Hashtbl.replace c.sanctioned (offset loc) ()
+          | _ -> ())
+        | _ -> ())
+      args
+
+let is_float_literal (e : Typedtree.expression) =
+  match e.exp_desc with Texp_constant (Const_float _) -> true | _ -> false
+
+let is_negative_constant (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_constant (Const_int n) -> n < 0
+  | Texp_constant (Const_float s) -> String.length s > 0 && s.[0] = '-'
+  | Texp_apply
+      ( { exp_desc = Texp_ident (p, _, _); _ },
+        [ (Asttypes.Nolabel, Some { exp_desc = Texp_constant _; _ }) ] ) -> (
+    match stdlib_value p with Some ("~-" | "~-.") -> true | _ -> false)
+  | _ -> false
+
+let ends_with ~suffix s =
+  let n = String.length s and m = String.length suffix in
+  n >= m && String.sub s (n - m) m = suffix
+
+let check_metric_name c loc kind name =
+  if String.equal kind "counter" then begin
+    if not (ends_with ~suffix:"_total" name) then
+      emit c counter_name loc
+        "counter %S should be named *_total (Prometheus convention; \
+         exporters sort by name)"
+        name
+  end
+  else if ends_with ~suffix:"_total" name then
+    emit c counter_name loc "%s %S must not use the counter suffix _total"
+      kind name
+  else if
+    (String.equal kind "summary" || String.equal kind "histogram")
+    && List.exists (fun s -> ends_with ~suffix:s name) [ "_sum"; "_count"; "_bucket" ]
+  then
+    emit c counter_name loc
+      "%s %S ends in a reserved exporter suffix (_sum/_count/_bucket): the \
+       exposition format appends those to the series itself"
+      kind name
+
+(* Float equality and the telemetry API, matched on the head's path;
+   [loc] is the whole application's. *)
+let check_apply c ~loc (head : Typedtree.expression) args =
+  match head.exp_desc with
+  | Texp_ident (p, _, _) -> (
+    let positional =
+      List.filter_map
+        (function Asttypes.Nolabel, Some a -> Some a | _ -> None)
+        args
+    in
+    (match stdlib_value p with
+    | Some ("=" | "<>") when List.exists is_float_literal positional ->
+      emit c poly_compare head.exp_loc
+        "polymorphic equality against a float literal; use Float.equal (or \
+         compare against an epsilon)"
+    | _ -> ());
+    match Classify.short (Classify.key_of_path p) with
+    | ("Telemetry", (("counter" | "gauge" | "histogram" | "summary") as kind)) -> (
+      let last_string =
+        List.fold_left
+          (fun acc (a : Typedtree.expression) ->
+            match a.exp_desc with
+            | Texp_constant (Const_string (s, _, _)) -> Some s
+            | _ -> acc)
+          None positional
+      in
+      match last_string with
+      | Some name -> check_metric_name c loc kind name
+      | None -> ())
+    | ("Telemetry", ("add" | "addf")) ->
+      if List.exists is_negative_constant positional then
+        emit c counter_monotonic loc
+          "counters are monotonic: never add a negative delta \
+           (Telemetry.add raises on it at runtime anyway)"
+    | ("Telemetry", "create") ->
+      if Rules.lib_only c.u.u_path then
+        emit c sink_discipline loc
+          "Telemetry.create inside lib/: sinks are created at entry points \
+           and threaded down; per-trial sinks come from create_like"
+    | ("Telemetry", "merge_into") ->
+      if c.u.u_path <> "lib/sim/parallel.ml"
+         && c.u.u_path <> "lib/sim/telemetry.ml"
+      then
+        emit c sink_discipline loc
+          "sink merging happens only in Sim.Parallel, in trial order, so \
+           exports stay byte-identical across --jobs"
+    | ("Telemetry", "span") -> (
+      let bound label =
+        List.find_map
+          (function
+            | ( Asttypes.Labelled l,
+                Some { Typedtree.exp_desc = Texp_ident (Path.Pident id, _, _); _ } )
+              when String.equal l label ->
+              Some id
+            | _ -> None)
+          args
+      in
+      match (bound "start", bound "stop") with
+      | Some a, Some b when Ident.same a b ->
+        emit c span_pairing loc
+          "span records ~start:%s ~stop:%s — a zero-width span; capture the \
+           start time before the work and the stop time after"
+          (Ident.name a) (Ident.name b)
+      | Some a, _ when Summary.resolve_pident c.t c.u a <> None ->
+        emit c span_pairing loc
+          "span start %S is not bound in this definition: begin/end are \
+           split across functions; capture both sides of the interval in \
+           one place (or use with_span)"
+          (Ident.name a)
+      | _ -> ())
+    | _ -> ())
+  | _ -> ()
+
 let run (t : Summary.tables) (u : Summary.unit_info) : Report.finding list =
-  let c = { t; u; local_defs = collect_local_defs u.u_structure; findings = ref [] } in
-  check_module_level_rng c;
+  let c =
+    { t; u; local_defs = collect_local_defs u.u_structure; findings = ref [];
+      sanctioned = Hashtbl.create 16 }
+  in
+  check_module_level c;
   let expr it (e : Typedtree.expression) =
     (match e.exp_desc with
+    | Texp_ident (p, _, _) -> check_ident c p e.exp_loc
+    | Texp_function { arg_label = Optional (("telemetry" | "faults") as name); _ } ->
+      emit c ctx_discipline e.exp_loc
+        "optional ?%s on a lib/ function: it rides in the Sim.Ctx the caller \
+         threads down (Ctx.create ~%s / Ctx.with_telemetry), not in a \
+         per-constructor optional"
+        name name
     | Texp_apply (head, args) -> (
+      sanction_sorted_folds c head args;
+      check_apply c ~loc:e.exp_loc head args;
       match head_key c head with
       | Some key ->
         if Classify.is_spawn_head key then handle_spawn c key args;

@@ -73,6 +73,11 @@ let hashtbl_order_head key =
     Some fn
   | _ -> None
 
+let is_sort_head key =
+  match short key with
+  | ("List", ("sort" | "sort_uniq" | "stable_sort" | "fast_sort")) -> true
+  | _ -> false
+
 let is_rng_draw_head key =
   (* Applying any of these consumes or forks a stream: position in the
      draw schedule now depends on when the call runs. *)

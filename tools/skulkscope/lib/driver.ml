@@ -4,13 +4,12 @@
    loaded from a corpus .cmt with synthetic lib/-style paths);
    [lint_tree] adds .cmt discovery under a build directory and source
    reading for allow comments, and is what the CLI calls. Report and
-   allow machinery are shared with skulklint via [Lintkit]; this tool's
-   inline marker is "skulkscope: allow". *)
+   allow machinery live in [Lintkit]; the inline marker is
+   "skulkscope: allow". *)
 
 open Lintkit
 
-let tool = "skulkscope"
-let allow_marker = tool ^ ": allow"
+let allow_marker = "skulkscope: allow"
 
 type result = {
   findings : Report.finding list;  (** surviving, sorted *)
@@ -87,7 +86,7 @@ let lint_units ?(allow_entries = []) (units : Summary.unit_info list) : result =
                      allow_entries))
             raw
         in
-        let meta = Allow.comment_findings ~tool ~file:u.u_path allows in
+        let meta = Allow.comment_findings ~file:u.u_path allows in
         (surviving @ meta @ fs, n + List.length dropped))
       ([], 0) units
   in
@@ -138,7 +137,7 @@ let lint_tree ?(allow_entries = []) ?(prefixes = []) ~build_dir roots : result *
         | Error "not an implementation" -> None (* interfaces, packs *)
         | Error msg ->
           errors :=
-            { Report.tool; rule = "cmt-error"; file = normalise cmt_path;
+            { Report.rule = "cmt-error"; file = normalise cmt_path;
               line = 1; col = 0; message = msg }
             :: !errors;
           None)

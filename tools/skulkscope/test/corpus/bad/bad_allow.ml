@@ -2,8 +2,8 @@
    with nothing to suppress. Two meta-findings; the reasonless allow
    does NOT suppress, so the Sys.time beneath it still fires too. *)
 
-(* skulklint: allow wall-clock *)
+(* skulkscope: allow wall-clock *)
 let t () = Sys.time ()
 
-(* skulklint: allow random-global — there is no Random use here at all *)
+(* skulkscope: allow random-global — there is no Random use here at all *)
 let pure = 42

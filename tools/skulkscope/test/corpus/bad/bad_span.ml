@@ -1,5 +1,5 @@
 (* corpus: span begin/end pairing — two findings. *)
-
+let elsewhere = Sim.Time.zero (* a module-level instant, not a start captured here *)
 (* zero-width: start and stop are the same binding *)
 let f telemetry now =
   Sim.Telemetry.span telemetry ~component:"x" ~name:"tick" ~start:now ~stop:now ()
