@@ -188,8 +188,8 @@ let test_parallel_runner =
   Test.make ~name:"perf/parallel-map-8-trials-2-jobs"
     (Staged.stage (fun () ->
          ignore
-           (Sim.Parallel.map_seeds ~jobs:2 ~root_seed:1 ~trials:8 (fun ~seed ->
-                let ctx = Sim.Ctx.create ~seed () in
+           (Sim.Parallel.map ~jobs:2 8 (fun i ->
+                let ctx = Sim.Ctx.create ~seed:(1 + i) () in
                 ignore (Net.Flow.run ctx ~link:Net.Link.lan_1gbe ~bytes:65536 ())))))
 
 let tests =

@@ -27,8 +27,8 @@ val note : t -> detection -> unit
     detections. *)
 
 val detections : t -> detection list
-(** Unique detections in arrival order - deterministic because mailbox
-    drain order is (see {!Sim.Shard.exchange}). *)
+(** Unique detections in arrival order - deterministic because the
+    shard runner's delivery order is (see {!Sim.Parallel.run_sharded}). *)
 
 val detection_count : t -> int
 val reports_received : t -> int

@@ -5,10 +5,10 @@
    Detector_service, and (on host 0) the fleet SOC.
 
    A host owns exactly one engine (the scenario's ctx) and talks to the
-   rest of the fleet only through its outgoing queue, drained into
-   shard mailboxes at [step] - never directly. That is what makes a
-   host's entire history a pure function of (fleet seed, host id), and
-   hence the fleet partition-invariant. *)
+   rest of the fleet only through its outgoing queue, drained through
+   the shard runner's [post] at [step] - never directly. That is what
+   makes a host's entire history a pure function of (fleet seed, host
+   id), and hence the fleet partition-invariant. *)
 
 type t = {
   id : int;

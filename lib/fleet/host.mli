@@ -10,8 +10,8 @@
     {!Cloudskulk.Fleet_soc}.
 
     A host owns exactly one engine and talks to the rest of the fleet
-    only through its outgoing queue, drained into shard mailboxes by
-    {!step}: its entire history is a pure function of
+    only through its outgoing queue, drained through the shard runner's
+    [post] by {!step}: its entire history is a pure function of
     [(fleet seed, host id)], which is what makes the fleet
     partition-invariant under {!Sim.Parallel.run_sharded}. *)
 

@@ -4,11 +4,11 @@
     population (hosts, racks, tenants), the infection seeding, the
     churn and chatter rates, the time horizon, the cross-host fabric
     latency (which doubles as the sharding epoch - see
-    {!Sim.Barrier}), the per-host ksmd pacing, and the detector /
-    SOC policy knobs. The harness, the fuzzer, and the benchmarks all
-    describe fleets with this one record, and {!validate} is the single
-    bounds check they share - the fuzz grammar's "reject degenerate
-    fleets" rule is literally this function. *)
+    {!Sim.Parallel.run_sharded}), the per-host ksmd pacing, and the
+    detector / SOC policy knobs. The harness, the fuzzer, and the
+    benchmarks all describe fleets with this one record, and {!validate}
+    is the single bounds check they share - the fuzz grammar's "reject
+    degenerate fleets" rule is literally this function. *)
 
 type t = {
   hosts : int;

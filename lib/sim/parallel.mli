@@ -22,12 +22,7 @@ val map : ?jobs:int -> int -> (int -> 'a) -> 'a list
     returned in index order. [jobs <= 1] (the default) runs sequentially
     in the calling domain; [jobs = 0] means {!available_cores}. If any
     trial raises, the exception of the lowest-indexed failing trial is
-    re-raised after all workers finish. *)
-
-val map_seeds : ?jobs:int -> root_seed:int -> trials:int -> (seed:int -> 'a) -> 'a list
-(** [map_seeds ~root_seed ~trials f] runs [f ~seed:(root_seed + i)] for
-    [i] in [0 .. trials - 1] via {!map}: the canonical seed-derivation
-    scheme for repeated-trial experiments. *)
+    re-raised, with its backtrace, after all workers finish. *)
 
 val map_ctx :
   ?jobs:int -> ?seed_of:(int -> int) -> ctx:Ctx.t -> trials:int -> (int -> Ctx.t -> 'a) ->
@@ -58,6 +53,21 @@ type ('w, 'msg) sharded = {
 }
 (** One member of a sharded run: a sub-world plus its mailbox hooks. *)
 
+exception Member_failed of {
+  seed : int;  (** the root seed, [Ctx.seed ctx] *)
+  member : int;
+  epoch : int;
+      (** 0-based epoch index; the horizon flush counts as the epoch
+          after the last one *)
+  at : Time.t;  (** the epoch's closing barrier ([until] for the flush) *)
+  exn : exn;  (** what the member raised *)
+}
+(** A member's [deliver] or [step] raised inside {!run_sharded}. It
+    carries the original exception and its backtrace, and enough
+    context to replay the member alone: a member's history depends only
+    on [(seed, member)] and its inbox. A printer is registered with
+    {!Printexc}. *)
+
 val run_sharded :
   ?jobs:int ->
   ?shards:int ->
@@ -70,14 +80,16 @@ val run_sharded :
 (** [run_sharded ~shards ~ctx ~members ~epoch ~until init] partitions
     ONE trial across domains: [members] independent sub-worlds advance
     in lockstep to time barriers every [epoch] of simulated time, up to
-    the horizon [until], exchanging messages through deterministic
-    per-(src, dst) mailboxes ({!Shard}) drained at each barrier.
+    the horizon [until]. Barrier [k] sits at [min ((k+1) * epoch, until)].
+    Each member posts into its own outbox during an epoch; at the
+    barrier the outboxes are exchanged into per-member inboxes, groups
+    in ascending [src], each group in post order.
 
     Each member - not each shard - gets its own context from
     {!Ctx.fork_member}, so what a member simulates depends only on
     [(Ctx.seed ctx, member)]; shard [s] merely advances the contiguous
-    block {!Shard.range}[ ~members ~shards s]. Together with the
-    canonical mailbox drain order this makes the results, the trace,
+    block of members [s*members/shards .. (s+1)*members/shards). Together
+    with the canonical delivery order this makes the results, the trace,
     and the merged telemetry {e byte-identical for every}
     [shards]/[jobs] {e combination} (shards execute via {!map}, so
     [jobs] only bounds worker domains). Epoch choice is the modelling
@@ -93,7 +105,10 @@ val run_sharded :
     partition-invariant by the argument above. Mail still undelivered
     when the horizon closes is flushed to [deliver] at [until] in
     member order, so in-flight exchanges land before the run returns.
-    If any shard raises, the exception of the lowest-indexed failing
-    shard is re-raised (as {!map}). Raises [Invalid_argument] for a
-    non-positive [epoch], a negative [members], or a [post] to a
-    destination outside [0, members). *)
+
+    An exception from a member's [deliver] or [step] escapes as
+    {!Member_failed}; within an epoch the lowest failing member is
+    reported, whatever [shards] and [jobs] are. Raises
+    [Invalid_argument] for a non-positive or infinite [epoch], an
+    infinite or negative [until], a negative [members], or (at the
+    epoch's barrier) a [post] to a destination outside [0, members). *)

@@ -1,75 +1,211 @@
-(* Tests for the sharded fleet: Shard mailbox/exchange and Barrier
-   plans, Ctx member forking, migration stream capture/resume, the
-   fabric default route, and the two headline properties - partition
-   invariance (identical fleet output for any --shards x --jobs
-   combination, including telemetry export and detector verdicts) and
-   churn conservation (every booted VM is alive, killed, dropped or
-   parked at the horizon; no host ever exceeds capacity). *)
+(* Tests for the sharded fleet: the shard runner on a toy member world
+   (partition, delivery order, barrier timeline, argument checks,
+   horizon flush, failure context), Ctx member forking, migration
+   stream capture/resume, the fabric default route, and the two
+   headline properties - partition invariance (identical fleet output
+   for any --shards x --jobs combination, including telemetry export
+   and detector verdicts) and churn conservation (every booted VM is
+   alive, killed, dropped or parked at the horizon; no host ever
+   exceeds capacity). *)
+
+(* ---- the shard runner on a toy world ---- *)
+
+(* A toy member: it records each step's barrier and each delivery as
+   (now, src, msgs), posts whatever [plan] tells it to, and calls [fail]
+   before each delivery and step with the number of steps taken. *)
+type toy = {
+  id : int;
+  mutable steps : Sim.Time.t list;  (** newest first *)
+  mutable got : (Sim.Time.t * int * string list) list;  (** newest first *)
+}
+
+let toy_run ?(jobs = 1) ?(shards = 1) ?(epoch = Sim.Time.s 1.) ?(fail = fun ~member:_ ~k:_ -> ())
+    ~members ~until plan =
+  Sim.Parallel.run_sharded ~jobs ~shards ~ctx:(Sim.Ctx.create ~seed:5 ()) ~members ~epoch ~until
+    (fun ~member _ctx ->
+      let t = { id = member; steps = []; got = [] } in
+      {
+        Sim.Parallel.world = t;
+        deliver =
+          (fun ~now ~src msgs ->
+            fail ~member ~k:(List.length t.steps);
+            t.got <- (now, src, msgs) :: t.got);
+        step =
+          (fun ~until ~post ->
+            let k = List.length t.steps in
+            fail ~member ~k;
+            t.steps <- until :: t.steps;
+            List.iter (fun (dst, msg) -> post ~dst msg) (plan ~member ~k));
+      })
+
+let deliveries (t : toy) =
+  List.rev_map (fun (now, src, msgs) -> (Sim.Time.to_ns now, src, msgs)) t.got
+
+let delivery = Alcotest.(list (triple int64 int (list string)))
+
+(* Interleaved mail: in epoch k member m posts to m+1, m+2, m+1 again
+   and itself, so one destination's groups come from several sources
+   and each group holds several messages. *)
+let interleaved ~members ~member:m ~k =
+  List.mapi
+    (fun i dst -> ((m + dst) mod members, Printf.sprintf "%d.%d.%d" m k i))
+    [ 1; 2; 1; 0 ]
+
+exception Boom of int
+
+(* Whether a backtrace's first line, its raise point, lies in this file. *)
+let raised_here bt =
+  let first = List.hd (String.split_on_char '\n' bt) and site = "test/test_fleet.ml" in
+  let n = String.length first and m = String.length site in
+  let rec scan i = i + m <= n && (String.sub first i m = site || scan (i + 1)) in
+  scan 0
+
+let raises_invalid name f =
+  Alcotest.(check bool) name true
+    (try
+       ignore (f ());
+       false
+     with Invalid_argument _ -> true)
 
 let shard_tests =
   [
     Alcotest.test_case "range partitions members contiguously" `Quick (fun () ->
+        (* every member is built once, stepped once per epoch and
+           returned in member order, whatever the shard count *)
         List.iter
           (fun (members, shards) ->
-            let covered = ref 0 in
-            for s = 0 to shards - 1 do
-              let lo, hi = Sim.Shard.range ~members ~shards s in
-              Alcotest.(check bool) "ordered" true (lo <= hi);
-              Alcotest.(check int) "contiguous" !covered lo;
-              covered := hi;
-              for m = lo to hi - 1 do
-                Alcotest.(check int) "owner agrees" s (Sim.Shard.owner ~members ~shards m)
-              done
-            done;
-            Alcotest.(check int) "covers all members" members !covered)
-          [ (1, 1); (4, 1); (4, 2); (4, 4); (5, 2); (7, 3); (10, 4); (100, 7) ]);
+            let worlds =
+              toy_run ~shards ~members ~until:(Sim.Time.s 3.) (fun ~member:_ ~k:_ -> [])
+            in
+            Alcotest.(check (list int))
+              (Printf.sprintf "%d members over %d shards" members shards)
+              (List.init members Fun.id)
+              (Array.to_list (Array.map (fun t -> t.id) worlds));
+            Array.iter
+              (fun t -> Alcotest.(check int) "three steps" 3 (List.length t.steps))
+              worlds)
+          [ (1, 1); (4, 1); (4, 2); (4, 4); (5, 2); (7, 3); (10, 4); (3, 8) ]);
     Alcotest.test_case "exchange drains in (dst, src) order" `Quick (fun () ->
-        let ob0 = Sim.Shard.outbox () and ob1 = Sim.Shard.outbox () in
-        Sim.Shard.post ob1 ~src:3 ~dst:0 "c";
-        Sim.Shard.post ob0 ~src:1 ~dst:0 "a";
-        Sim.Shard.post ob0 ~src:1 ~dst:0 "b";
-        Sim.Shard.post ob0 ~src:0 ~dst:2 "d";
-        let inboxes = Sim.Shard.exchange [| ob0; ob1 |] ~members:4 in
-        Alcotest.(check (list (pair int (list string))))
-          "dst 0 sees src 1 then src 3, per-pair FIFO"
-          [ (1, [ "a"; "b" ]); (3, [ "c" ]) ]
-          inboxes.(0);
-        Alcotest.(check (list (pair int (list string)))) "dst 2" [ (0, [ "d" ]) ] inboxes.(2);
-        Alcotest.(check (list (pair int (list string)))) "dst 1 empty" [] inboxes.(1);
-        Alcotest.(check int) "posted counts" 3 (Sim.Shard.posted ob0));
-    Alcotest.test_case "exchange is partition-invariant" `Quick (fun () ->
-        (* the same (src, dst, msg) set split across different outbox
-           layouts must produce identical inboxes *)
-        let post_all obs pick =
-          List.iter
-            (fun (src, dst, m) -> Sim.Shard.post obs.(pick src) ~src ~dst m)
-            [ (2, 0, "x"); (0, 1, "y"); (1, 0, "z"); (2, 1, "w") ]
+        let plan ~member ~k =
+          match (member, k) with
+          | 3, 0 -> [ (0, "c") ]
+          | 1, 0 -> [ (0, "a"); (2, "x"); (0, "b") ]
+          | 0, 0 -> [ (2, "d") ]
+          | _ -> []
         in
-        let one = [| Sim.Shard.outbox () |] in
-        post_all one (fun _ -> 0);
-        let three = [| Sim.Shard.outbox (); Sim.Shard.outbox (); Sim.Shard.outbox () |] in
-        post_all three (fun src -> src);
-        let a = Sim.Shard.exchange one ~members:3 in
-        let b = Sim.Shard.exchange three ~members:3 in
-        for m = 0 to 2 do
-          Alcotest.(check (list (pair int (list string))))
-            (Printf.sprintf "member %d" m) a.(m) b.(m)
-        done);
+        List.iter
+          (fun shards ->
+            let w = toy_run ~shards ~members:4 ~until:(Sim.Time.s 2.) plan in
+            let at1 = Sim.Time.to_ns (Sim.Time.s 1.) in
+            Alcotest.check delivery "dst 0 sees src 1 then src 3, per-pair FIFO"
+              [ (at1, 1, [ "a"; "b" ]); (at1, 3, [ "c" ]) ]
+              (deliveries w.(0));
+            Alcotest.check delivery "dst 2" [ (at1, 0, [ "d" ]); (at1, 1, [ "x" ]) ] (deliveries w.(2));
+            Alcotest.check delivery "dst 1 empty" [] (deliveries w.(1)))
+          [ 1; 2; 3; 4 ]);
+    Alcotest.test_case "exchange is partition-invariant" `Quick (fun () ->
+        let members = 5 in
+        let run shards jobs =
+          toy_run ~jobs ~shards ~members ~until:(Sim.Time.s 4.) (interleaved ~members)
+          |> Array.map deliveries
+        in
+        let reference = run 1 1 in
+        List.iter
+          (fun (shards, jobs) ->
+            Array.iteri
+              (fun m d ->
+                Alcotest.check delivery
+                  (Printf.sprintf "member %d at shards %d jobs %d" m shards jobs)
+                  reference.(m) d)
+              (run shards jobs))
+          [ (1, 2); (2, 1); (2, 2); (3, 1); (3, 2); (members, 1); (members, 2) ];
+        (* canonical order: ascending src per barrier, post order per group *)
+        Array.iteri
+          (fun m d ->
+            Alcotest.(check int) (Printf.sprintf "member %d: 3 senders x 4 barriers" m) 12
+              (List.length d);
+            List.iteri
+              (fun i (now, src, msgs) ->
+                (match List.nth_opt d (i + 1) with
+                | Some (now', src', _) when Int64.equal now now' ->
+                  Alcotest.(check bool) "ascending src" true (src < src')
+                | _ -> ());
+                Alcotest.(check (list string)) "post order"
+                  (List.sort String.compare msgs) msgs)
+              d)
+          reference);
     Alcotest.test_case "barrier plan covers the horizon" `Quick (fun () ->
-        let plan = Sim.Barrier.plan ~epoch:(Sim.Time.s 15.) ~until:(Sim.Time.s 100.) in
-        Alcotest.(check int) "ceil(100/15)" 7 (Sim.Barrier.count plan);
-        let last = ref Sim.Time.zero in
-        Sim.Barrier.iter plan ~f:(fun ~index:_ ~start ~until ->
-            Alcotest.(check bool) "monotone" true (Sim.Time.equal start !last);
-            Alcotest.(check bool) "advances" true (Sim.Time.compare until start > 0);
-            last := until);
-        Alcotest.(check int64) "ends exactly at the horizon"
-          (Sim.Time.to_ns (Sim.Time.s 100.))
-          (Sim.Time.to_ns !last));
+        let steps until =
+          toy_run ~epoch:(Sim.Time.s 15.) ~members:3 ~until (fun ~member:_ ~k:_ -> [])
+          |> Array.map (fun t -> List.rev_map Sim.Time.to_ns t.steps)
+        in
+        let expected =
+          List.map (fun s -> Sim.Time.to_ns (Sim.Time.s s)) [ 15.; 30.; 45.; 60.; 75.; 90.; 100. ]
+        in
+        Array.iter
+          (Alcotest.(check (list int64)) "7 barriers, the last exactly at the horizon" expected)
+          (steps (Sim.Time.s 100.));
+        Array.iter
+          (Alcotest.(check (list int64)) "a zero horizon steps nothing" [])
+          (steps Sim.Time.zero));
     Alcotest.test_case "barrier rejects degenerate epochs" `Quick (fun () ->
-        Alcotest.check_raises "zero epoch"
-          (Invalid_argument "Barrier.plan: epoch must be positive") (fun () ->
-            ignore (Sim.Barrier.plan ~epoch:Sim.Time.zero ~until:(Sim.Time.s 1.))));
+        let quiet ~member:_ ~k:_ = [] in
+        raises_invalid "zero epoch" (fun () ->
+            toy_run ~epoch:Sim.Time.zero ~members:2 ~until:(Sim.Time.s 1.) quiet);
+        raises_invalid "infinite horizon" (fun () ->
+            toy_run ~members:2 ~until:Sim.Time.infinity quiet);
+        raises_invalid "negative horizon" (fun () ->
+            toy_run ~members:2 ~until:(Sim.Time.ns (-1)) quiet);
+        raises_invalid "negative member count" (fun () ->
+            toy_run ~members:(-1) ~until:(Sim.Time.s 1.) quiet);
+        List.iter
+          (fun dst ->
+            raises_invalid (Printf.sprintf "post to %d" dst) (fun () ->
+                toy_run ~members:2 ~until:(Sim.Time.s 1.) (fun ~member ~k:_ ->
+                    if member = 1 then [ (dst, "lost") ] else [])))
+          [ -1; 2 ]);
+    Alcotest.test_case "horizon flush delivers final-epoch mail at until" `Quick (fun () ->
+        let until = Sim.Time.s 2.5 in
+        let w =
+          toy_run ~members:2 ~until (fun ~member ~k ->
+              if member = 1 && k = 2 then [ (0, "late") ] else [])
+        in
+        Alcotest.check delivery "delivered at the horizon"
+          [ (Sim.Time.to_ns until, 1, [ "late" ]) ]
+          (deliveries w.(0)));
+    Alcotest.test_case "member failure names seed, member and epoch" `Quick (fun () ->
+        Printexc.record_backtrace true;
+        let report ?(shards = 1) ?(jobs = 1) failing =
+          let fail ~member ~k = if List.mem (member, k) failing then raise (Boom member) in
+          match
+            toy_run ~jobs ~shards ~fail ~members:8 ~until:(Sim.Time.s 6.) (interleaved ~members:8)
+          with
+          | _ -> Alcotest.fail "no failure raised"
+          | exception (Sim.Parallel.Member_failed { seed; member; epoch; at; exn } as e) ->
+            Alcotest.(check bool) "backtrace starts at the member's raise" true
+              (raised_here (Printexc.get_backtrace ()));
+            Alcotest.(check bool) "original exception kept" true
+              (match exn with Boom m -> m = member | _ -> false);
+            Alcotest.(check string) "printed with its context"
+              (Printf.sprintf "Sim.Parallel.Member_failed: seed %d, member %d, epoch %d (barrier %s): %s"
+                 seed member epoch (Sim.Time.to_string at) (Printexc.to_string exn))
+              (Printexc.to_string e);
+            ((seed, member), (epoch, Sim.Time.to_ns at))
+        in
+        let fields = Alcotest.(pair (pair int int) (pair int int64)) in
+        (* members 2 and 5 both raise in epoch 3: member 2 is reported at
+           any partition, with the epoch's closing barrier *)
+        List.iter
+          (fun (shards, jobs) ->
+            Alcotest.check fields
+              (Printf.sprintf "epoch 3 at shards %d jobs %d" shards jobs)
+              ((5, 2), (3, Sim.Time.to_ns (Sim.Time.s 4.)))
+              (report ~shards ~jobs [ (5, 3); (2, 3) ]))
+          [ (1, 1); (4, 1); (4, 2) ];
+        (* a delivery failing in the horizon flush is epoch 6 of 6, at [until] *)
+        Alcotest.check fields "horizon flush"
+          ((5, 4), (6, Sim.Time.to_ns (Sim.Time.s 6.)))
+          (report ~shards:4 ~jobs:2 [ (4, 6) ]));
     Alcotest.test_case "fork_member is deterministic and member-distinct" `Quick (fun () ->
         let ctx = Sim.Ctx.create ~seed:7 () in
         let seed_of m = Sim.Ctx.seed (Sim.Ctx.fork_member ctx ~member:m) in

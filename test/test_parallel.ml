@@ -37,9 +37,24 @@ let map_tests =
                     if i >= 5 then failwith (Printf.sprintf "trial-%d" i) else i));
              "no exception"
            with Failure m -> m));
-    Alcotest.test_case "map_seeds derives seed = root_seed + trial index" `Quick (fun () ->
-        Alcotest.(check (list int)) "seeds" [ 10; 11; 12; 13 ]
-          (Sim.Parallel.map_seeds ~jobs:2 ~root_seed:10 ~trials:4 (fun ~seed -> seed)));
+    Alcotest.test_case "a worker domain's exception keeps its backtrace" `Quick (fun () ->
+        (* both trials wait for each other, so they run on different
+           domains; only the one off the main domain raises *)
+        Printexc.record_backtrace true;
+        let arrived = Atomic.make 0 in
+        match
+          Sim.Parallel.map ~jobs:2 2 (fun _ ->
+              Atomic.incr arrived;
+              while Atomic.get arrived < 2 do
+                Domain.cpu_relax ()
+              done;
+              if not (Domain.is_main_domain ()) then failwith "worker")
+        with
+        | _ -> Alcotest.fail "no failure raised"
+        | exception Failure _ ->
+          let first = List.hd (String.split_on_char '\n' (Printexc.get_backtrace ())) in
+          Alcotest.(check bool) ("raise point kept: " ^ first) true
+            (String.starts_with ~prefix:"Raised at Stdlib.failwith" first));
     Alcotest.test_case "available_cores is positive" `Quick (fun () ->
         Alcotest.(check bool) "positive" true (Sim.Parallel.available_cores () > 0));
   ]
@@ -81,16 +96,16 @@ let faulted_trial ~seed =
 let determinism_tests =
   [
     Alcotest.test_case "detect verdicts at --jobs 8 equal --jobs 1" `Slow (fun () ->
-        let sequential = Sim.Parallel.map_seeds ~jobs:1 ~root_seed:1 ~trials:4 detect_trial in
-        let parallel = Sim.Parallel.map_seeds ~jobs:8 ~root_seed:1 ~trials:4 detect_trial in
+        let sequential = Sim.Parallel.map ~jobs:1 4 (fun i -> detect_trial ~seed:(1 + i)) in
+        let parallel = Sim.Parallel.map ~jobs:8 4 (fun i -> detect_trial ~seed:(1 + i)) in
         Alcotest.(check (list (pair string string))) "identical" sequential parallel;
         Alcotest.(check int) "all trials ran" 4 (List.length parallel));
     Alcotest.test_case "fault-injected trials at --jobs 8 equal --jobs 1" `Slow (fun () ->
         (* each trial owns a private fault RNG forked from its own
            engine, so the injected outages/jitter - and therefore the
            outcome strings and timings - must not depend on scheduling *)
-        let sequential = Sim.Parallel.map_seeds ~jobs:1 ~root_seed:1 ~trials:4 faulted_trial in
-        let parallel = Sim.Parallel.map_seeds ~jobs:8 ~root_seed:1 ~trials:4 faulted_trial in
+        let sequential = Sim.Parallel.map ~jobs:1 4 (fun i -> faulted_trial ~seed:(1 + i)) in
+        let parallel = Sim.Parallel.map ~jobs:8 4 (fun i -> faulted_trial ~seed:(1 + i)) in
         Alcotest.(check (list (pair string string))) "identical" sequential parallel);
   ]
 

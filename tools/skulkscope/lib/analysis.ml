@@ -1,6 +1,6 @@
 (* Pass B: per-unit emission, consulting the whole-tree tables.
 
-   Spawn sites ([Sim.Parallel.map]/[map_seeds]/[map_ctx] incl. the
+   Spawn sites ([Sim.Parallel.map]/[map_ctx]/[run_sharded] incl. the
    [~seed_of] callback, [Domain.spawn], [Thread.create]) get a
    free-variable analysis of the spawned closure: every free name is
    classified by its *type* — Atomic is exempt, mutable roots fire

@@ -60,7 +60,7 @@ let short ((md, name) : key) : key =
 
 let is_spawn_head key =
   match short key with
-  | ("Parallel", ("map" | "map_seeds" | "map_ctx" | "run_sharded")) -> true
+  | ("Parallel", ("map" | "map_ctx" | "run_sharded")) -> true
   | ("Domain", "spawn") | ("Thread", "create") -> true
   | _ -> false
 

@@ -30,8 +30,8 @@
                      deterministic trial runner.
 
    domain-escape —
-     escape-capture  a closure handed to [Sim.Parallel.map]/[map_seeds]/
-                     [map_ctx]/[run_sharded] (including [~seed_of]) or
+     escape-capture  a closure handed to [Sim.Parallel.map]/[map_ctx]/
+                     [run_sharded] (including [~seed_of]) or
                      [Domain.spawn]/[Thread.create] captures a value of
                      mutable type (ref, array, bytes, Hashtbl/Queue/
                      Stack/Buffer, a record with mutable fields, or a
