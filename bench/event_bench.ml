@@ -51,26 +51,28 @@ let steady_state_op (module Q : QUEUE) ~pending =
       incr k;
       ignore (Q.push q (Sim.Time.add t d) !i)
 
-(* ns per schedule+expire pair at a fixed occupancy; best of [repeats]
-   fresh runs, so one scheduler hiccup on a shared machine does not end
-   up in the recorded figure. *)
-let queue_ns_per_op ?(repeats = 3) qm ~pending ~ops =
-  let once () =
-    let op = steady_state_op qm ~pending in
-    (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
-    let t0 = Sys.time () in
-    for _ = 1 to ops do
-      op ()
-    done;
-    (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
-    (Sys.time () -. t0) *. 1e9 /. float_of_int ops
-  in
+(* The lowest of [repeats] calls of [once], so one scheduler hiccup on a
+   shared machine does not end up in the recorded figure. *)
+let best_of repeats once =
   let best = ref (once ()) in
   for _ = 2 to repeats do
     let ns = once () in
     if ns < !best then best := ns
   done;
   !best
+
+(* ns per schedule+expire pair at a fixed occupancy; best of [repeats]
+   fresh runs. *)
+let queue_ns_per_op ?(repeats = 3) qm ~pending ~ops =
+  best_of repeats (fun () ->
+      let op = steady_state_op qm ~pending in
+      (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
+      let t0 = Sys.time () in
+      for _ = 1 to ops do
+        op ()
+      done;
+      (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
+      (Sys.time () -. t0) *. 1e9 /. float_of_int ops)
 
 let events_per_sec ns_per_op = 1e9 /. ns_per_op
 
@@ -124,3 +126,35 @@ let ksm_rescan_ns_per_dirtied_page ~incremental ~iters =
   done;
   (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
   (Sys.time () -. t0) *. 1e9 /. float_of_int (iters * dirtied_per_iter)
+
+(* Idle incremental wakeup: [spaces] spaces of [pages] distinct pages,
+   scanned to quiescence, then [iters] wakeups with nothing dirtied.
+   Returns ns per wakeup, best of [repeats] timed loops. A clean space
+   is skipped on its dirty count, so the cost tracks the number of
+   spaces, not their size: the CI smoke gates the ratio between a large
+   and a small table of the same space count. *)
+let ksm_idle_wakeup_ns ?(repeats = 3) ~spaces ~pages ~iters () =
+  let ctx = Sim.Ctx.create () in
+  let ft = Memory.Frame_table.create ctx in
+  let config =
+    { Memory.Ksm.pages_to_scan = spaces * pages; sleep = Sim.Time.ms 1.; incremental = true }
+  in
+  let ksm = Memory.Ksm.create ~config ctx ft in
+  for k = 0 to spaces - 1 do
+    let s = Memory.Address_space.create_root ft ~name:(Printf.sprintf "s%d" k) ~pages in
+    for i = 0 to pages - 1 do
+      ignore (Memory.Address_space.write s i (Memory.Page.Content.of_int ((k * pages) + i)))
+    done;
+    Memory.Ksm.register ksm s
+  done;
+  (* one wakeup visits every never-scanned page; distinct contents are
+     taken at face value, so the table is quiescent afterwards *)
+  Memory.Ksm.scan_once ksm;
+  best_of repeats (fun () ->
+      (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
+      let t0 = Sys.time () in
+      for _ = 1 to iters do
+        Memory.Ksm.scan_once ksm
+      done;
+      (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
+      (Sys.time () -. t0) *. 1e9 /. float_of_int iters)

@@ -1,11 +1,16 @@
 (* Standalone event-engine benchmark, used as the CI perf smoke: prints
-   wheel-vs-heap queue throughput and incremental-vs-full KSM rescan
-   cost, and exits non-zero if the timing wheel stops clearly beating
-   the heap at high occupancy or the incremental rescan stops clearly
-   beating the full sweep. The gates are deliberately looser than the
+   wheel-vs-heap queue throughput, incremental-vs-full KSM rescan cost
+   and the cost of an idle incremental KSM wakeup, and exits non-zero if
+   the timing wheel stops clearly beating the heap at high occupancy,
+   the incremental rescan stops clearly beating the full sweep, or an
+   idle wakeup stops costing O(spaces) - over 64 spaces, one of 4096
+   pages each must cost under 3x one of 64 pages each (about 1x when
+   clean spaces are skipped on their dirty count, 10x or more when
+   every bitmap word is walked). The gates are deliberately looser than the
    speedups recorded in BENCH_scan.json (~6x and ~10x+ on a quiet
-   machine) so shared CI runners do not flake; a real regression - the
-   wheel degrading to heap-like behaviour - trips them immediately.
+   machine), and the idle gate is a ratio of two timings on one machine,
+   so shared CI runners do not flake; a real regression - the wheel
+   degrading to heap-like behaviour - trips them immediately.
 
    Usage: queue_bench [--quick]   (--quick shrinks iteration counts) *)
 
@@ -36,11 +41,25 @@ let () =
   Printf.printf "  %-34s %10.1f ns/dirtied page\n" "incremental sweep" incr_;
   let rescan_speedup = full /. incr_ in
   Printf.printf "  incremental speedup: %.2fx\n" rescan_speedup;
+  let idle_iters = if quick then 20_000 else 100_000 in
+  Printf.printf "ksm idle incremental wakeup: 64 spaces, nothing dirtied (%d wakeups)\n"
+    idle_iters;
+  let idle pages = Event_bench.ksm_idle_wakeup_ns ~spaces:64 ~pages ~iters:idle_iters () in
+  let idle_small = idle 64 and idle_large = idle 4096 in
+  Printf.printf "  %-34s %10.1f ns/wakeup\n" "64 x 64 pages" idle_small;
+  Printf.printf "  %-34s %10.1f ns/wakeup\n" "64 x 4096 pages" idle_large;
+  let idle_ratio = idle_large /. idle_small in
+  Printf.printf "  large/small ratio: %.2fx\n" idle_ratio;
   let failures = ref [] in
   if speedup < 2. then
     failures := Printf.sprintf "wheel speedup %.2fx < 2x at 1e5 pending" speedup :: !failures;
   if rescan_speedup < 2. then
     failures := Printf.sprintf "incremental rescan speedup %.2fx < 2x" rescan_speedup :: !failures;
+  if idle_ratio > 3. then
+    failures :=
+      Printf.sprintf "idle wakeup over 64 x 4096 pages costs %.2fx one over 64 x 64 (> 3x)"
+        idle_ratio
+      :: !failures;
   match !failures with
   | [] -> print_endline "smoke: OK"
   | fs ->

@@ -2,14 +2,16 @@ exception Out_of_memory_frames
 
 type frame = int
 
-type slot = {
-  mutable content : Page.Content.t;
-  mutable refs : int;
-  mutable stable : bool;
-}
-
+(* Frame [f]'s state lives at index [f] of three parallel arrays, grown
+   together: its content digest in bytes [8f .. 8f+7] of [contents]
+   (native endian), its reference count in [refs.(f)], and its stable
+   flag in byte [f] of [stable]. Nothing here is a per-frame heap block,
+   so a content write stores no fresh box and the major GC has no
+   per-frame blocks to mark or sweep. *)
 type t = {
-  mutable slots : slot array;
+  mutable contents : Bytes.t;
+  mutable refs : int array;
+  mutable stable : Bytes.t;
   mutable used : int;
   mutable free_list : frame list;
   mutable live : int;
@@ -21,7 +23,9 @@ type t = {
 let create ?capacity_frames ctx =
   let telemetry = Sim.Ctx.telemetry ctx in
   {
-    slots = [||];
+    contents = Bytes.empty;
+    refs = [||];
+    stable = Bytes.empty;
     used = 0;
     free_list = [];
     live = 0;
@@ -34,11 +38,22 @@ let telemetry t = t.telemetry
 let note_cow_break t = Sim.Telemetry.incr t.m_cow_breaks
 
 let grow t =
-  let cap = Array.length t.slots in
+  let cap = Array.length t.refs in
   let new_cap = if cap = 0 then 1024 else 2 * cap in
-  let fresh () = { content = Page.Content.zero; refs = 0; stable = false } in
-  let new_slots = Array.init new_cap (fun i -> if i < cap then t.slots.(i) else fresh ()) in
-  t.slots <- new_slots
+  let contents = Bytes.make (8 * new_cap) '\000' in
+  Bytes.blit t.contents 0 contents 0 (8 * cap);
+  let refs = Array.make new_cap 0 in
+  Array.blit t.refs 0 refs 0 cap;
+  let stable = Bytes.make new_cap '\000' in
+  Bytes.blit t.stable 0 stable 0 cap;
+  t.contents <- contents;
+  t.refs <- refs;
+  t.stable <- stable
+
+let get_content t f = Page.Content.of_int64 (Bytes.get_int64_ne t.contents (f lsl 3))
+let set_content t f c = Bytes.set_int64_ne t.contents (f lsl 3) (Page.Content.to_int64 c)
+let get_stable t f = Bytes.get t.stable f <> '\000'
+let set_stable t f b = Bytes.set t.stable f (if b then '\001' else '\000')
 
 let alloc t c =
   (match t.capacity with
@@ -50,60 +65,73 @@ let alloc t c =
       t.free_list <- rest;
       f
     | [] ->
-      if t.used = Array.length t.slots then grow t;
+      if t.used = Array.length t.refs then grow t;
       let f = t.used in
       t.used <- t.used + 1;
       f
   in
-  let slot = t.slots.(f) in
-  slot.content <- c;
-  slot.refs <- 1;
-  slot.stable <- false;
+  set_content t f c;
+  t.refs.(f) <- 1;
+  set_stable t f false;
   t.live <- t.live + 1;
   f
 
-let slot t f =
-  let s = t.slots.(f) in
-  assert (s.refs > 0);
-  s
+(* Every accessor but [is_live] asserts the frame is allocated. *)
+let assert_live t f = assert (t.refs.(f) > 0)
+let is_live t f = f >= 0 && f < t.used && t.refs.(f) > 0
 
-let is_live t f = f >= 0 && f < t.used && t.slots.(f).refs > 0
-let content t f = (slot t f).content
-let refcount t f = (slot t f).refs
-let is_shared t f = (slot t f).refs > 1
-let incref t f = (slot t f).refs <- (slot t f).refs + 1
+let content t f =
+  assert_live t f;
+  get_content t f
+
+let refcount t f =
+  assert_live t f;
+  t.refs.(f)
+
+let is_shared t f = refcount t f > 1
+let incref t f = t.refs.(f) <- refcount t f + 1
 
 let decref t f =
-  let s = slot t f in
-  s.refs <- s.refs - 1;
-  if s.refs = 0 then begin
-    s.stable <- false;
+  let r = refcount t f - 1 in
+  t.refs.(f) <- r;
+  if r = 0 then begin
+    set_stable t f false;
     t.free_list <- f :: t.free_list;
     t.live <- t.live - 1
   end
 
 let write t f c =
-  let s = slot t f in
-  assert (s.refs = 1);
-  s.content <- c
+  assert (refcount t f = 1);
+  set_content t f c
 
-let mark_stable t f = (slot t f).stable <- true
-let clear_stable t f = (slot t f).stable <- false
-let is_stable t f = (slot t f).stable
+let mark_stable t f =
+  assert_live t f;
+  set_stable t f true
+
+let clear_stable t f =
+  assert_live t f;
+  set_stable t f false
+
+let is_stable t f =
+  assert_live t f;
+  get_stable t f
+
 let live_frames t = t.live
 
+(* [f acc refs] over every live frame's reference count. *)
 let fold_live t init f =
   let acc = ref init in
   for i = 0 to t.used - 1 do
-    if t.slots.(i).refs > 0 then acc := f !acc i t.slots.(i)
+    let r = t.refs.(i) in
+    if r > 0 then acc := f !acc r
   done;
   !acc
 
-let shared_frames t = fold_live t 0 (fun n _ s -> if s.refs > 1 then n + 1 else n)
+let shared_frames t = fold_live t 0 (fun n r -> if r > 1 then n + 1 else n)
 
 let check_invariants t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let counted_live = fold_live t 0 (fun n _ _ -> n + 1) in
+  let counted_live = fold_live t 0 (fun n _ -> n + 1) in
   if counted_live <> t.live then
     err "frame_table: live counter %d but %d slots hold references" t.live counted_live
   else if
@@ -111,7 +139,7 @@ let check_invariants t =
   then err "frame_table: %d live frames exceed the capacity" t.live
   else begin
     let bad_free =
-      List.find_opt (fun f -> f < 0 || f >= t.used || t.slots.(f).refs > 0) t.free_list
+      List.find_opt (fun f -> f < 0 || f >= t.used || t.refs.(f) > 0) t.free_list
     in
     let dup_free =
       let sorted = List.sort Int.compare t.free_list in
@@ -128,14 +156,13 @@ let check_invariants t =
       let rec scan f =
         if f >= t.used then Ok ()
         else
-          let s = t.slots.(f) in
-          if s.refs < 0 then err "frame_table: frame %d has negative refcount %d" f s.refs
-          else if s.refs = 0 && s.stable then
+          let r = t.refs.(f) in
+          if r < 0 then err "frame_table: frame %d has negative refcount %d" f r
+          else if r = 0 && get_stable t f then
             err "frame_table: freed frame %d still flagged stable" f
           else scan (f + 1)
       in
       scan 0
   end
 
-let sharing_savings_pages t =
-  fold_live t 0 (fun n _ s -> if s.refs > 1 then n + s.refs - 1 else n)
+let sharing_savings_pages t = fold_live t 0 (fun n r -> if r > 1 then n + r - 1 else n)

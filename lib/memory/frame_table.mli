@@ -3,7 +3,14 @@
     One frame table per physical machine. Each frame holds a page content
     digest and a reference count; KSM raises the count when it merges
     identical pages, and copy-on-write lowers it again when a shared
-    frame is written. *)
+    frame is written.
+
+    The table is laid out flat: three arrays indexed by frame id and
+    doubled together when full - 8 bytes of digest, one [int] refcount
+    and one stable-flag byte, 17 bytes per frame. No frame is a heap
+    block of its own, so a content write allocates nothing that
+    outlives it and the major GC has no per-frame blocks to mark or
+    sweep. *)
 
 type t
 

@@ -15,9 +15,10 @@ type config = {
   sleep : Sim.Time.t;  (** pause between wakeups (Linux default 20 ms) *)
   incremental : bool;
       (** when set, a wakeup only visits pages written since their last
-          scan (plus never-scanned pages), so a steady-state rescan costs
-          O(dirtied pages) instead of O(table); the unstable tree is kept
-          across passes and re-validated on hit instead of being rebuilt.
+          scan (plus never-scanned pages) and skips a space with nothing
+          dirty on its dirty count, so an idle wakeup costs O(spaces)
+          and a steady-state one grows with the dirtied pages, not the
+          table; the unstable tree is kept across passes and re-validated on hit instead of being rebuilt.
           Merge outcomes converge to the same sharing as full sweeps, but
           pass pacing differs - experiments that count passes or scanned
           pages keep the (default) full sweep. *)

@@ -81,6 +81,88 @@ let frame_tests =
         Alcotest.(check bool) "stable" true (is_stable t f);
         clear_stable t f;
         Alcotest.(check bool) "cleared" false (is_stable t f));
+    Alcotest.test_case "frame state survives two grows, frees and reuse" `Quick (fun () ->
+        let t = create (Sim.Ctx.create ()) in
+        let module C = Memory.Page.Content in
+        (* 3 x 1024 + 100 frames: the table grows 1024 -> 2048 -> 4096.
+           Contents span both signs (min_int and -1 included), so a
+           sign bit lost in the byte encoding shows up as a mismatch. *)
+        let n = (3 * 1024) + 100 in
+        let content_of k =
+          match k with
+          | 0 -> Int64.min_int
+          | 1 -> -1L
+          | 2 -> Int64.max_int
+          | k when k mod 2 = 0 -> Int64.of_int (k * 7919)
+          | k -> Int64.(add min_int (of_int (k * 7919)))
+        in
+        (* the model: per frame id, (content, refs, stable) while live *)
+        let model = Hashtbl.create n in
+        let ids =
+          Array.init n (fun k ->
+              let f = alloc t (C.of_int64 (content_of k)) in
+              Alcotest.(check bool) "fresh id" false (Hashtbl.mem model f);
+              Hashtbl.replace model f (content_of k, 1, false);
+              f)
+        in
+        (* flag some of the frames about to be freed, so freeing must
+           also clear the stable byte *)
+        Array.iteri
+          (fun k f ->
+            if k mod 6 = 0 then begin
+              mark_stable t f;
+              Hashtbl.replace model f (content_of k, 1, true)
+            end)
+          ids;
+        let freed = List.filteri (fun k _ -> k mod 3 = 0) (Array.to_list ids) in
+        List.iter
+          (fun f ->
+            decref t f;
+            Hashtbl.remove model f;
+            Alcotest.(check bool) "freed is not live" false (is_live t f))
+          freed;
+        (match check_invariants t with Ok () -> () | Error e -> Alcotest.fail e);
+        let reused =
+          List.map
+            (fun _ ->
+              let c = Int64.neg (Int64.of_int (Hashtbl.length model + 17)) in
+              let f = alloc t (C.of_int64 c) in
+              Alcotest.(check bool) "reused id is not stable" false (is_stable t f);
+              Hashtbl.replace model f (c, 1, false);
+              f)
+            freed
+        in
+        Alcotest.(check (list int)) "freed ids are reused"
+          (List.sort Int.compare freed)
+          (List.sort Int.compare reused);
+        Array.iteri
+          (fun k f ->
+            let c, r, s = Hashtbl.find model f in
+            if k mod 5 = 1 then begin
+              let c = Int64.lognot c in
+              write t f (C.of_int64 c);
+              Hashtbl.replace model f (c, r, s)
+            end;
+            let c, r, s = Hashtbl.find model f in
+            if k mod 7 = 2 then begin
+              incref t f;
+              Hashtbl.replace model f (c, r + 1, s)
+            end;
+            let c, r, _ = Hashtbl.find model f in
+            if k mod 4 = 3 then begin
+              mark_stable t f;
+              Hashtbl.replace model f (c, r, true)
+            end)
+          ids;
+        Alcotest.(check int) "live" (Hashtbl.length model) (live_frames t);
+        Hashtbl.iter
+          (fun f (c, r, s) ->
+            let tag = Printf.sprintf "frame %d" f in
+            Alcotest.(check int64) (tag ^ " content") c (C.to_int64 (content t f));
+            Alcotest.(check int) (tag ^ " refcount") r (refcount t f);
+            Alcotest.(check bool) (tag ^ " stable") s (is_stable t f))
+          model;
+        match check_invariants t with Ok () -> () | Error e -> Alcotest.fail e);
   ]
 
 let dirty_tests =
@@ -603,41 +685,63 @@ let incremental_tests =
         Alcotest.(check int) "same merges" fm im;
         Alcotest.(check int) "same sharing" fs is_);
     Alcotest.test_case "incremental steady state visits only dirtied pages" `Quick (fun () ->
-        let telemetry = Sim.Telemetry.create () in
-        let ctx = Sim.Ctx.create ~telemetry () in
-        let ft = Memory.Frame_table.create ctx in
-        let ksm =
-          Memory.Ksm.create
-            ~config:{ pages_to_scan = 4096; sleep = Sim.Time.ms 1.; incremental = true }
-            ctx ft
-        in
-        let s = Memory.Address_space.create_root ft ~name:"s" ~pages:64 in
-        for i = 0 to 63 do
-          ignore (Memory.Address_space.write s i (Memory.Page.Content.of_int (1000 + i)))
-        done;
-        Memory.Ksm.register ksm s;
-        let scanned () =
-          match Sim.Telemetry.value telemetry "ksm_pages_scanned_total" with
-          | Some v -> int_of_float v
-          | None -> Alcotest.fail "no ksm_pages_scanned_total series"
-        in
-        Memory.Ksm.scan_once ksm;
-        Alcotest.(check int) "first sweep visits all" 64 (scanned ());
-        Alcotest.(check int) "one pass" 1 (Memory.Ksm.full_scans ksm);
-        Memory.Ksm.scan_once ksm;
-        Alcotest.(check int) "idle sweep visits nothing" 64 (scanned ());
-        Alcotest.(check int) "idle sweep is not a pass" 1 (Memory.Ksm.full_scans ksm);
-        for i = 10 to 12 do
-          ignore (Memory.Address_space.write s i (Memory.Page.Content.of_int (2000 + i)))
-        done;
-        Memory.Ksm.scan_once ksm;
-        (* each dirtied page is seen twice: once as a volatile churner
-           (which re-arms it) and once to confirm it has settled - still
-           O(dirtied), never O(table) *)
-        Alcotest.(check int) "steady state visits only the 3 dirtied" (64 + (2 * 3))
-          (scanned ());
-        Memory.Ksm.scan_once ksm;
-        Alcotest.(check int) "then goes quiet again" (64 + (2 * 3)) (scanned ()));
+        (* one space, and four: with several spaces an idle wakeup hops
+           every clean space on its dirty count and leaves the cursor
+           on space 1, so the later write lands behind it *)
+        List.iter
+          (fun n_spaces ->
+            let telemetry = Sim.Telemetry.create () in
+            let ctx = Sim.Ctx.create ~telemetry () in
+            let ft = Memory.Frame_table.create ctx in
+            let ksm =
+              Memory.Ksm.create
+                ~config:{ pages_to_scan = 4096; sleep = Sim.Time.ms 1.; incremental = true }
+                ctx ft
+            in
+            let spaces =
+              List.init n_spaces (fun k ->
+                  let s =
+                    Memory.Address_space.create_root ft ~name:(Printf.sprintf "s%d" k) ~pages:64
+                  in
+                  for i = 0 to 63 do
+                    ignore
+                      (Memory.Address_space.write s i
+                         (Memory.Page.Content.of_int ((1000 * (k + 1)) + i)))
+                  done;
+                  Memory.Ksm.register ksm s;
+                  s)
+            in
+            let s = List.hd spaces in
+            let all = 64 * n_spaces in
+            let label what = Printf.sprintf "%d spaces: %s" n_spaces what in
+            let scanned () =
+              match Sim.Telemetry.value telemetry "ksm_pages_scanned_total" with
+              | Some v -> int_of_float v
+              | None -> Alcotest.fail "no ksm_pages_scanned_total series"
+            in
+            Memory.Ksm.scan_once ksm;
+            Alcotest.(check int) (label "first sweep visits all") all (scanned ());
+            Alcotest.(check int) (label "one pass") 1 (Memory.Ksm.full_scans ksm);
+            Memory.Ksm.scan_once ksm;
+            Alcotest.(check int) (label "idle sweep visits nothing") all (scanned ());
+            Alcotest.(check int) (label "idle sweep is not a pass") 1 (Memory.Ksm.full_scans ksm);
+            for i = 10 to 12 do
+              ignore (Memory.Address_space.write s i (Memory.Page.Content.of_int (2000 + i)))
+            done;
+            Memory.Ksm.scan_once ksm;
+            (* each dirtied page is seen twice: once as a volatile churner
+               (which re-arms it) and once to confirm it has settled - still
+               O(dirtied), never O(table) *)
+            Alcotest.(check int)
+              (label "steady state visits only the 3 dirtied")
+              (all + (2 * 3))
+              (scanned ());
+            Alcotest.(check int) (label "one pass per lap that visited") 3
+              (Memory.Ksm.full_scans ksm);
+            Memory.Ksm.scan_once ksm;
+            Alcotest.(check int) (label "then goes quiet again") (all + (2 * 3)) (scanned ());
+            Alcotest.(check int) (label "quiet is not a pass") 3 (Memory.Ksm.full_scans ksm))
+          [ 1; 4 ]);
     Alcotest.test_case "incremental scan finds duplicates written after start" `Quick
       (fun () ->
         let _, ft, ksm =
@@ -770,9 +874,13 @@ let mem_props =
          QCheck.(pair small_int (int_range 1 130))
          (fun (seed, n) ->
            (* Drive the word-skipping bitset and a bool array through the
-              same random set/clear/fold/drain/collect schedule and demand
-              they never disagree. Lengths around the 32-bit word boundary
-              are the interesting ones; [n] ranges across several words. *)
+              same random set/clear/drain/test_and_clear/next_dirty_from/
+              collect schedule and demand they never disagree. Lengths
+              around the 32-bit word boundary are the interesting ones;
+              [n] ranges across several words. [dirty_count] is checked
+              after every step: KSM's incremental sweep skips a space on
+              [dirty_count = 0] alone, which is exact only while the
+              count is zero precisely when no bit is set. *)
            let open Memory.Dirty in
            let d = create n in
            let scratch = create n in
@@ -790,7 +898,7 @@ let mem_props =
            in
            let ok = ref true in
            for _ = 1 to 300 do
-             (match Sim.Rng.int r 5 with
+             (match Sim.Rng.int r 7 with
              | 0 ->
                let i = Sim.Rng.int r n in
                set d i;
@@ -799,13 +907,26 @@ let mem_props =
                clear d;
                Array.fill model 0 n false
              | 2 ->
-               (* drain moves the set into scratch and clears the source *)
+               (* drain moves the set into scratch and clears the source;
+                  scratch's count and bits must be exactly the moved set *)
                drain d ~into:scratch;
                let moved = List.filter (fun i -> model.(i)) (List.init n Fun.id) in
-               Array.fill model 0 n false;
-               if List.rev (fold_dirty scratch (fun acc i -> i :: acc) []) <> moved then
-                 ok := false
+               if
+                 dirty_count scratch <> List.length moved
+                 || List.rev (fold_dirty scratch (fun acc i -> i :: acc) []) <> moved
+                 || List.exists (fun i -> is_dirty scratch i <> model.(i)) (List.init n Fun.id)
+               then ok := false;
+               Array.fill model 0 n false
              | 3 ->
+               let i = Sim.Rng.int r n in
+               if test_and_clear d i <> model.(i) then ok := false;
+               model.(i) <- false
+             | 4 ->
+               (* any start in [0, n], [n] itself included *)
+               let from = Sim.Rng.int r (n + 1) in
+               let rec first i = if i >= n then None else if model.(i) then Some i else first (i + 1) in
+               if next_dirty_from d from <> first from then ok := false
+             | 5 ->
                let collected = collect_and_clear d in
                let expected = List.filter (fun i -> model.(i)) (List.init n Fun.id) in
                Array.fill model 0 n false;
