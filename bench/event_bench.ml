@@ -129,11 +129,11 @@ let ksm_rescan_ns_per_dirtied_page ~incremental ~iters =
 
 (* Idle incremental wakeup: [spaces] spaces of [pages] distinct pages,
    scanned to quiescence, then [iters] wakeups with nothing dirtied.
-   Returns ns per wakeup, best of [repeats] timed loops. A clean space
+   Returns ns per wakeup, best of three timed loops. A clean space
    is skipped on its dirty count, so the cost tracks the number of
    spaces, not their size: the CI smoke gates the ratio between a large
    and a small table of the same space count. *)
-let ksm_idle_wakeup_ns ?(repeats = 3) ~spaces ~pages ~iters () =
+let ksm_idle_wakeup_ns ~spaces ~pages ~iters =
   let ctx = Sim.Ctx.create () in
   let ft = Memory.Frame_table.create ctx in
   let config =
@@ -150,7 +150,7 @@ let ksm_idle_wakeup_ns ?(repeats = 3) ~spaces ~pages ~iters () =
   (* one wakeup visits every never-scanned page; distinct contents are
      taken at face value, so the table is quiescent afterwards *)
   Memory.Ksm.scan_once ksm;
-  best_of repeats (fun () ->
+  best_of 3 (fun () ->
       (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
       let t0 = Sys.time () in
       for _ = 1 to iters do

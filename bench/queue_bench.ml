@@ -6,11 +6,11 @@
    idle wakeup stops costing O(spaces) - over 64 spaces, one of 4096
    pages each must cost under 3x one of 64 pages each (about 1x when
    clean spaces are skipped on their dirty count, 10x or more when
-   every bitmap word is walked). The gates are deliberately looser than the
-   speedups recorded in BENCH_scan.json (~6x and ~10x+ on a quiet
-   machine), and the idle gate is a ratio of two timings on one machine,
-   so shared CI runners do not flake; a real regression - the wheel
-   degrading to heap-like behaviour - trips them immediately.
+   every bitmap word is walked). The gates are deliberately looser than
+   the speedups recorded in BENCH_scan.json (~6x and ~10x+ on a quiet
+   machine), and the idle gate is a ratio of two timings on one
+   machine, so shared CI runners do not flake; a real regression - the
+   wheel degrading to heap-like behaviour - trips them immediately.
 
    Usage: queue_bench [--quick]   (--quick shrinks iteration counts) *)
 
@@ -44,7 +44,7 @@ let () =
   let idle_iters = if quick then 20_000 else 100_000 in
   Printf.printf "ksm idle incremental wakeup: 64 spaces, nothing dirtied (%d wakeups)\n"
     idle_iters;
-  let idle pages = Event_bench.ksm_idle_wakeup_ns ~spaces:64 ~pages ~iters:idle_iters () in
+  let idle pages = Event_bench.ksm_idle_wakeup_ns ~spaces:64 ~pages ~iters:idle_iters in
   let idle_small = idle 64 and idle_large = idle 4096 in
   Printf.printf "  %-34s %10.1f ns/wakeup\n" "64 x 64 pages" idle_small;
   Printf.printf "  %-34s %10.1f ns/wakeup\n" "64 x 4096 pages" idle_large;

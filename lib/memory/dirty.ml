@@ -77,7 +77,9 @@ let next_dirty_from t from =
         end
       end
     in
-    from_word (from lsr 5) (from land 31)
+    (* a clean bitmap answers on its count alone, without walking its
+       words: an idle incremental KSM wakeup relies on this *)
+    if t.count = 0 then None else from_word (from lsr 5) (from land 31)
   end
 
 let dirty_count t = t.count

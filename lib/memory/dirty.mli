@@ -30,8 +30,9 @@ val test_and_clear : t -> int -> bool
 
 val next_dirty_from : t -> int -> int option
 (** [next_dirty_from t i] is the smallest dirty index [>= i], skipping
-    clean ranges a word (32 pages) per compare. [None] if no bit at or
-    after [i] is set; the bitmap is not modified. *)
+    clean ranges a word (32 pages) per compare; a bitmap with nothing
+    dirty answers [None] in O(1). [None] if no bit at or after [i] is
+    set; the bitmap is not modified. *)
 
 val dirty_count : t -> int
 val clear : t -> unit

@@ -316,9 +316,9 @@ let scan_once_full t =
    dirty space clean ranges are skipped a word at a time. The wakeup
    budget is spent on examined pages, so a steady state where few pages
    are dirtied costs O(spaces + words of the dirty spaces + dirtied
-   pages), not O(table), and an idle wakeup costs O(spaces). The slot-hop budget bounds an idle sweep
-   to one lap, and a lap that examined nothing does not count as a
-   pass. *)
+   pages), not O(table), and an idle wakeup costs O(spaces). The
+   slot-hop budget bounds an idle sweep to one lap, and a lap that
+   examined nothing does not count as a pass. *)
 let scan_once_incremental t =
   let next_slot t =
     t.cursor_page <- 0;
@@ -336,11 +336,7 @@ let scan_once_incremental t =
   let hops = ref 0 in
   while !budget > 0 && !hops <= t.n_slots && t.n_slots > 0 do
     let slot = t.slots.(t.cursor_space) in
-    let next =
-      if Dirty.dirty_count slot.rescan = 0 then None
-      else Dirty.next_dirty_from slot.rescan t.cursor_page
-    in
-    match next with
+    match Dirty.next_dirty_from slot.rescan t.cursor_page with
     | Some i ->
       scan_page t t.cursor_space slot i;
       incr scanned;

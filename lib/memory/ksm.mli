@@ -18,7 +18,8 @@ type config = {
           scan (plus never-scanned pages) and skips a space with nothing
           dirty on its dirty count, so an idle wakeup costs O(spaces)
           and a steady-state one grows with the dirtied pages, not the
-          table; the unstable tree is kept across passes and re-validated on hit instead of being rebuilt.
+          table; the unstable tree is kept across passes and
+          re-validated on hit instead of being rebuilt.
           Merge outcomes converge to the same sharing as full sweeps, but
           pass pacing differs - experiments that count passes or scanned
           pages keep the (default) full sweep. *)
