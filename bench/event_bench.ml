@@ -1,8 +1,7 @@
-(* Shared measurements for the event-engine overhaul: timing-wheel vs
-   binary-heap queue throughput, and incremental vs full KSM rescan
-   cost. Consumed twice - by the bechamel experiment (which also writes
-   the BENCH_scan.json record) and by the queue_bench CI smoke
-   executable, so both report the same workloads. *)
+(* The measurements behind queue_bench's CI gates: timing-wheel vs
+   binary-heap queue throughput, incremental vs full KSM rescan cost,
+   the cost of an idle incremental KSM wakeup, and the allocation of a
+   KSM scan per page. *)
 
 module type QUEUE = sig
   type 'a t
@@ -74,10 +73,8 @@ let queue_ns_per_op ?(repeats = 3) qm ~pending ~ops =
       (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
       (Sys.time () -. t0) *. 1e9 /. float_of_int ops)
 
-let events_per_sec ns_per_op = 1e9 /. ns_per_op
-
-(* The multi-tenant KSM population the bechamel suite also scans: 64
-   spaces x 256 distinct pages, scanned to steady state. *)
+(* A multi-tenant KSM population: 64 spaces x 256 distinct pages,
+   scanned to steady state. *)
 let ksm_world ~incremental =
   let ctx = Sim.Ctx.create () in
   let ft = Memory.Frame_table.create ctx in
@@ -100,6 +97,19 @@ let ksm_world ~incremental =
     Memory.Ksm.scan_once ksm
   done;
   (ksm, spaces)
+
+(* Minor-heap words a full-sweep wakeup allocates per scanned page, over
+   [iters] wakeups of the [ksm_world] population at steady state. A
+   count of the work, not of host time: it reads the same on every run
+   and every build, so its gate can be tight. *)
+let ksm_scan_minor_words_per_page ~iters =
+  let ksm, spaces = ksm_world ~incremental:false in
+  let pages = Array.fold_left (fun n s -> n + Memory.Address_space.pages s) 0 spaces in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    Memory.Ksm.scan_once ksm
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (iters * pages)
 
 (* Steady-state rescan: dirty ~1% of the table between wakeups, then
    take one scan_once. Returns ns per dirtied page; the full sweep

@@ -9,8 +9,7 @@
    The ladder scales with --trials so smoke runs stay cheap:
    --trials 1 runs only the 16-VM fleet, the default 5 adds the 100-
    and 1000-VM fleets, and --trials 10+ adds the 10k-VM fleet (about
-   half a minute of wall clock; the bechamel suite and BENCH_scan.json
-   carry its throughput numbers). *)
+   half a minute of wall clock). *)
 
 let size ~label ~hosts ~tenants ~minutes =
   ( label,

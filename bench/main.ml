@@ -10,7 +10,7 @@ let () =
     @ Exp_lmbench.specs @ Exp_fig56.specs
     @ [ Exp_install.spec; Exp_detect.spec; Exp_slo.spec ]
     @ Exp_ablations.specs @ Exp_extensions.specs
-    @ [ Exp_fuzz.spec; Exp_fleet.spec; Bechamel_suite.spec ]);
+    @ [ Exp_fuzz.spec; Exp_fleet.spec ]);
   exit
     (Harness.Registry.main ~name:"cloudskulk-bench"
        ~doc:"Regenerate the CloudSkulk paper's tables and figures"

@@ -1,21 +1,29 @@
 (* Standalone event-engine benchmark, used as the CI perf smoke: prints
-   wheel-vs-heap queue throughput, incremental-vs-full KSM rescan cost
-   and the cost of an idle incremental KSM wakeup, and exits non-zero if
-   the timing wheel stops clearly beating the heap at high occupancy,
-   the incremental rescan stops clearly beating the full sweep, or an
-   idle wakeup stops costing O(spaces) - over 64 spaces, one of 4096
-   pages each must cost under 3x one of 64 pages each (about 1x when
-   clean spaces are skipped on their dirty count, 10x or more when
-   every bitmap word is walked). The gates are deliberately looser than
-   the speedups recorded in BENCH_scan.json (~6x and ~10x+ on a quiet
-   machine), and the idle gate is a ratio of two timings on one
-   machine, so shared CI runners do not flake; a real regression - the
-   wheel degrading to heap-like behaviour - trips them immediately.
+   wheel-vs-heap queue throughput, incremental-vs-full KSM rescan cost,
+   the cost of an idle incremental KSM wakeup and the allocation of a
+   full KSM sweep, and exits non-zero if the timing wheel stops clearly
+   beating the heap at high occupancy, the incremental rescan stops
+   clearly beating the full sweep, an idle wakeup stops costing
+   O(spaces) - over 64 spaces, one of 4096 pages each must cost under 3x
+   one of 64 pages each (about 1x when clean spaces are skipped on their
+   dirty count, 10x or more when every bitmap word is walked) - or a
+   full sweep allocates more than 12 minor-heap words per scanned page.
+   The three timing gates are ratios of two timings on one machine with
+   a wide margin (2x, where a quiet machine shows several times that),
+   so shared CI runners do not flake; a real regression - the wheel
+   degrading to heap-like behaviour - trips them immediately. The
+   allocation gate counts words, not seconds, so it is tight.
 
-   Usage: queue_bench [--quick]   (--quick shrinks iteration counts) *)
+   Usage: queue_bench [--quick]   (--quick shrinks iteration counts;
+   any other argument is rejected with exit status 2) *)
 
 let () =
-  let quick = Array.exists (fun a -> String.equal a "--quick") Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  if not (List.for_all (String.equal "--quick") args) then begin
+    prerr_endline "usage: queue_bench [--quick]";
+    exit 2
+  end;
+  let quick = not (List.is_empty args) in
   let ops = if quick then 200_000 else 1_000_000 in
   let rescan_iters = if quick then 40 else 200 in
   let row name ns = Printf.printf "  %-34s %10.1f ns/op %12.0f events/s\n" name ns (1e9 /. ns) in
@@ -50,6 +58,10 @@ let () =
   Printf.printf "  %-34s %10.1f ns/wakeup\n" "64 x 4096 pages" idle_large;
   let idle_ratio = idle_large /. idle_small in
   Printf.printf "  large/small ratio: %.2fx\n" idle_ratio;
+  let scan_iters = 100 in
+  Printf.printf "ksm full sweep allocation: 64 x 256 pages (%d wakeups)\n" scan_iters;
+  let scan_words = Event_bench.ksm_scan_minor_words_per_page ~iters:scan_iters in
+  Printf.printf "  %-34s %10.2f minor words/page\n" "full sweep" scan_words;
   let failures = ref [] in
   if speedup < 2. then
     failures := Printf.sprintf "wheel speedup %.2fx < 2x at 1e5 pending" speedup :: !failures;
@@ -59,6 +71,10 @@ let () =
     failures :=
       Printf.sprintf "idle wakeup over 64 x 4096 pages costs %.2fx one over 64 x 64 (> 3x)"
         idle_ratio
+      :: !failures;
+  if scan_words > 12. then
+    failures :=
+      Printf.sprintf "ksm full sweep allocates %.2f minor words/page (> 12)" scan_words
       :: !failures;
   match !failures with
   | [] -> print_endline "smoke: OK"

@@ -22,9 +22,6 @@ type config = {
 
 val default_config : config
 
-val unit_op : ?ccache:bool -> config -> Vmm.Cost_model.op
-(** The cost-model operation for one compile unit. *)
-
 val run : ?ccache_at_l0:bool -> ?config:config -> Exec_env.t -> Sim.Time.t
 (** Execute the full compile on the environment's clock and return its
     duration - the Fig 2 measurement. [ccache_at_l0] (default true)
