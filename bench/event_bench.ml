@@ -1,54 +1,6 @@
-(* The measurements behind queue_bench's CI gates: timing-wheel vs
-   binary-heap queue throughput, incremental vs full KSM rescan cost,
-   the cost of an idle incremental KSM wakeup, and the allocation of a
-   KSM scan per page. *)
-
-module type QUEUE = sig
-  type 'a t
-  type handle
-
-  val create : unit -> 'a t
-  val push : 'a t -> Sim.Time.t -> 'a -> handle
-  val pop : 'a t -> (Sim.Time.t * 'a) option
-end
-
-let wheel = (module Sim.Event_queue : QUEUE)
-let heap = (module Event_heap : QUEUE)
-
-(* Timer periods drawn from the mix a loaded engine actually schedules:
-   overwhelmingly packet-scale work (burst serialisations, link
-   latencies - the only way occupancy ever reaches 1e5), a slice of
-   device-scale timers (KSM wakeups, migration rounds), and a tail of
-   long housekeeping timers that exercises the outer wheel levels. *)
-let engine_mix_delta rng =
-  let p = Sim.Rng.int rng 100 in
-  if p < 90 then Sim.Rng.int rng 1_000_000 (* <= 1ms: packet scale *)
-  else if p < 99 then Sim.Rng.int rng 100_000_000 (* <= 100ms: device scale *)
-  else Sim.Rng.int rng 10_000_000_000 (* <= 10s: housekeeping *)
-
-(* A thunk performing one steady-state operation on a queue prefilled
-   to [pending] events: expire the earliest event and schedule a
-   replacement drawn from the engine period mix - the regime an engine
-   main loop lives in, where occupancy stays flat and the horizon
-   advances. The replacement deltas are precomputed into a ring so the
-   timed loop measures the queues, not the RNG. *)
-let steady_state_op (module Q : QUEUE) ~pending =
-  let q = Q.create () in
-  let rng = Sim.Rng.create 11 in
-  for i = 0 to pending - 1 do
-    ignore (Q.push q (Sim.Time.ns (engine_mix_delta rng)) i)
-  done;
-  let ring = Array.init 65536 (fun _ -> Sim.Time.ns (engine_mix_delta rng)) in
-  let k = ref 0 in
-  let i = ref pending in
-  fun () ->
-    match Q.pop q with
-    | None -> assert false
-    | Some (t, _) ->
-      incr i;
-      let d = ring.(!k land 65535) in
-      incr k;
-      ignore (Q.push q (Sim.Time.add t d) !i)
+(* The measurements behind queue_bench's CI gates: incremental vs full
+   KSM rescan cost, the cost of an idle incremental KSM wakeup, and the
+   allocation of a KSM scan per page. *)
 
 (* The lowest of [repeats] calls of [once], so one scheduler hiccup on a
    shared machine does not end up in the recorded figure. *)
@@ -59,19 +11,6 @@ let best_of repeats once =
     if ns < !best then best := ns
   done;
   !best
-
-(* ns per schedule+expire pair at a fixed occupancy; best of [repeats]
-   fresh runs. *)
-let queue_ns_per_op ?(repeats = 3) qm ~pending ~ops =
-  best_of repeats (fun () ->
-      let op = steady_state_op qm ~pending in
-      (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
-      let t0 = Sys.time () in
-      for _ = 1 to ops do
-        op ()
-      done;
-      (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
-      (Sys.time () -. t0) *. 1e9 /. float_of_int ops)
 
 (* A multi-tenant KSM population: 64 spaces x 256 distinct pages,
    scanned to steady state. *)

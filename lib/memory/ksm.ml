@@ -41,7 +41,7 @@ type t = {
   engine : Sim.Engine.t;
   table : Frame_table.t;
   config : config;
-  trace : Sim.Trace.t option;
+  trace : Sim.Trace.t;
   (* registration-ordered slots, [slots.(0 .. n_slots - 1)]; kept as a
      doubling array so [register] is amortized O(1) and the scan cursor
      indexes it without rebuilding anything per page *)
@@ -81,7 +81,7 @@ let create ?(config = default_config) ctx table =
     engine;
     table;
     config;
-    trace = Some (Sim.Ctx.trace ctx);
+    trace = Sim.Ctx.trace ctx;
     slots = [||];
     n_slots = 0;
     stable = Int_tbl.create 4096;
@@ -102,9 +102,7 @@ let create ?(config = default_config) ctx table =
   }
 
 let emit t fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some tr -> Sim.Trace.emitf tr (Sim.Engine.now t.engine) Sim.Trace.Info ~component:"ksm" fmt
+  Sim.Trace.emitf t.trace (Sim.Engine.now t.engine) Sim.Trace.Info ~component:"ksm" fmt
 
 let slot_index t space =
   let rec go i =

@@ -13,7 +13,6 @@ let create ?(seed = 42) () =
   { clock = Time.zero; queue = Event_queue.create (); root_rng = Rng.create seed; processed = 0 }
 
 let now t = t.clock
-let rng t = t.root_rng
 let fork_rng t = Rng.split t.root_rng
 
 let schedule_at t when_ f =

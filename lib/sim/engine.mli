@@ -14,10 +14,6 @@ val create : ?seed:int -> unit -> t
     [seed] (default 42) seeds the engine's root {!Rng.t}. *)
 
 val now : t -> Time.t
-val rng : t -> Rng.t
-(** The engine's root random stream. Components should {!fork_rng} their
-    own stream instead of drawing from this directly. *)
-
 val fork_rng : t -> Rng.t
 (** An independent random stream derived from the engine's root stream. *)
 

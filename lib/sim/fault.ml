@@ -49,17 +49,9 @@ let validate p =
   else if Time.(p.mttr < Time.zero) then Error "mttr must be non-negative"
   else Ok ()
 
-type counters = {
-  mutable chunks_dropped : int;
-  mutable outages : int;
-  mutable link_downtime : Time.t;
-  mutable degraded_transmissions : int;
-}
-
 type t = {
   profile : profile;
   rng : Rng.t;
-  counters : counters;
   (* absolute virtual time of the next link failure; sampled lazily on
      the first [cut] so creation order does not matter *)
   mutable next_failure : Time.t option;
@@ -77,8 +69,6 @@ let create ?telemetry profile rng =
   {
     profile;
     rng;
-    counters =
-      { chunks_dropped = 0; outages = 0; link_downtime = Time.zero; degraded_transmissions = 0 };
     next_failure = None;
     m_drops = kind "chunk_drop";
     m_outages = kind "outage";
@@ -86,23 +76,16 @@ let create ?telemetry profile rng =
     m_downtime_ns = Telemetry.counter telemetry ~component:"fault" "link_downtime_ns_total";
   }
 
-let profile t = t.profile
-let counters t = t.counters
-
 let drops_chunk t =
   t.profile.loss > 0.
   &&
   let hit = Rng.float t.rng 1.0 < t.profile.loss in
-  if hit then begin
-    t.counters.chunks_dropped <- t.counters.chunks_dropped + 1;
-    Telemetry.incr t.m_drops
-  end;
+  if hit then Telemetry.incr t.m_drops;
   hit
 
 let degradation_factor t =
   if t.profile.degradation_duty <= 0. then 1.
   else if Rng.float t.rng 1.0 < t.profile.degradation_duty then begin
-    t.counters.degraded_transmissions <- t.counters.degraded_transmissions + 1;
     Telemetry.incr t.m_degraded;
     1. /. t.profile.degradation
   end
@@ -136,8 +119,6 @@ let cut t ~now ~during =
     else begin
       let after = Time.max Time.zero (Time.diff next now) in
       let outage = Time.max min_outage (Time.s (Rng.exponential t.rng (Time.to_s t.profile.mttr))) in
-      t.counters.outages <- t.counters.outages + 1;
-      t.counters.link_downtime <- Time.add t.counters.link_downtime outage;
       Telemetry.incr t.m_outages;
       Telemetry.addf t.m_downtime_ns (Int64.to_float (Time.to_ns outage));
       let repaired = Time.add next outage in

@@ -49,46 +49,35 @@ val flaky : profile
 (** {!lossy} plus link-down events: mean 20 s between failures, mean
     2 s repair - enough to interrupt a long migration mid-flight. *)
 
-val profiles : (string * profile) list
-(** Named profiles for CLI flags: none/lossy/degraded/flaky. *)
-
 val profile_of_string : string -> (profile, string) result
+(** Looks up a named profile for CLI flags: none/lossy/degraded/flaky,
+    in any case. *)
+
 val profile_name : profile -> string
 (** The registered name, or ["custom"]. *)
 
 val is_none : profile -> bool
 (** Structural equality with {!none}: such a profile injects nothing. *)
 
-val validate : profile -> (unit, string) result
-
 (** {2 Injectors} *)
-
-type counters = {
-  mutable chunks_dropped : int;
-  mutable outages : int;
-  mutable link_downtime : Time.t;  (** total injected down time *)
-  mutable degraded_transmissions : int;
-}
 
 type t
 
 val create : ?telemetry:Telemetry.t -> profile -> Rng.t -> t
-(** [create p rng] owns [rng]. Raises [Invalid_argument] when
-    [validate p] fails. Callers wanting zero perturbation of existing
+(** [create p rng] owns [rng]. Raises [Invalid_argument] when a field
+    of [p] is out of its documented range. Callers wanting zero perturbation of existing
     RNG streams should only fork an [rng] for this when
     [not (is_none p)]. [telemetry] registers
     [fault_injected_total{kind=...}] (kinds [chunk_drop], [outage],
     [degraded]) and [fault_link_downtime_ns_total]; recording never
     draws from [rng]. *)
 
-val profile : t -> profile
-val counters : t -> counters
-
 (** {2 Per-chunk queries (used by {!Net.Flow})} *)
 
 val drops_chunk : t -> bool
-(** Draw: is this chunk lost? Counts into {!counters} when true. Never
-    draws under the {!none} profile. *)
+(** Draw: is this chunk lost? Counts into
+    [fault_injected_total{kind="chunk_drop"}] when true. Never draws
+    under the {!none} profile. *)
 
 val chunk_jitter : t -> float
 (** Draw: multiplicative serialisation factor for one chunk - lognormal

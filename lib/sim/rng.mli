@@ -34,9 +34,6 @@ val uniform : t -> float -> float -> float
 val exponential : t -> float -> float
 (** [exponential t mean] draws from Exp with the given mean. *)
 
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Box-Muller normal draw. *)
-
 val lognormal_noise : t -> rsd:float -> float
 (** [lognormal_noise t ~rsd] is a multiplicative noise factor with mean
     [1.0] and relative standard deviation approximately [rsd]; used to

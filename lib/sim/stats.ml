@@ -61,7 +61,6 @@ module Sketch = struct
   let sum t = t.sum_v
   let min t = if t.total = 0 then Float.nan else t.min_v
   let max t = if t.total = 0 then Float.nan else t.max_v
-  let compression t = t.compression
 
   (* Merge the live centroids with a second sorted source (either the
      sorted insert buffer at unit weight, or another sketch's centroids)

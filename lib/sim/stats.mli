@@ -38,14 +38,10 @@ module Sketch : sig
       Exact at the extremes (tracked min/max). May flush the insert
       buffer as a side effect. *)
 
-  val percentile : t -> float -> float
-  (** [percentile t p] is [quantile t (p /. 100.)]. *)
-
   val count : t -> int
   val sum : t -> float
   val min : t -> float
   val max : t -> float
-  val compression : t -> int
 
   val centroids : t -> int
   (** Live centroid count after flushing the insert buffer. *)
@@ -56,13 +52,10 @@ end
 type t
 (** A mutable accumulator of float samples. *)
 
-val default_sample_cap : int
-(** 1024: far above any per-accumulator sample count in the experiment
-    suite, so existing consumers keep exact percentiles. *)
-
 val create : ?sample_cap:int -> unit -> t
 (** [create ()] retains samples exactly up to [sample_cap] (default
-    {!default_sample_cap}); past the cap the accumulator spills into a
+    1024, far above any per-accumulator sample count in the experiment
+    suite, so existing consumers keep exact percentiles); past the cap the accumulator spills into a
     {!Sketch} and percentiles become sketch estimates. [sample_cap = 0]
     sketches from the first sample. Mean/stddev/min/max/sum stay exact
     regardless. *)
@@ -75,10 +68,9 @@ val count : t -> int
 val mean : t -> float
 (** Mean of the samples; [nan] if empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; [0.] with fewer than two samples. *)
-
 val stddev : t -> float
+(** Square root of the unbiased sample variance; [0.] with fewer than
+    two samples. *)
 
 val rsd : t -> float
 (** Relative standard deviation as a fraction of the mean (multiply by 100

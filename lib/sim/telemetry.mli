@@ -153,18 +153,14 @@ val merge_into : into:t -> ?span_fields:labels -> t -> unit
 
 (** {1 Exporters} *)
 
-val pp_prometheus : Format.formatter -> t -> unit
+val prometheus_string : t -> string
 (** Prometheus text exposition: [# TYPE] comment per metric, series
     sorted by name, histograms expanded to cumulative [_bucket{le=...}]
     plus [_sum]/[_count]. *)
 
-val prometheus_string : t -> string
-
-val pp_jsonl : Format.formatter -> t -> unit
+val jsonl_string : t -> string
 (** One JSON object per span, in recording order:
     [{"component":...,"name":...,"start_ns":...,"end_ns":...,"fields":{...}}],
     followed by one object per summary series in sorted order:
     [{"summary":...,"count":...,"sum":...,"quantiles":{...}}] (the
     [quantiles] object is empty for an empty summary). *)
-
-val jsonl_string : t -> string

@@ -47,4 +47,3 @@ val clear : t -> unit
 (** Empties the buffer and resets the {!dropped} counter. *)
 
 val pp_record : Format.formatter -> record -> unit
-val level_to_string : level -> string

@@ -16,7 +16,7 @@ type t = {
   uplink : Net.Fabric.switch;
   gateway : Net.Fabric.Node.t;
   ksm : Memory.Ksm.t option;
-  trace : Sim.Trace.t option;
+  trace : Sim.Trace.t;
   telemetry : Sim.Telemetry.t option;
   m_kills : Sim.Telemetry.counter;
   g_vms : Sim.Telemetry.gauge;
@@ -28,10 +28,7 @@ type t = {
 }
 
 let emit t fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some tr ->
-    Sim.Trace.emitf tr (Sim.Engine.now t.engine) Sim.Trace.Info ~component:("hv:" ^ t.hv_name) fmt
+  Sim.Trace.emitf t.trace (Sim.Engine.now t.engine) Sim.Trace.Info ~component:("hv:" ^ t.hv_name) fmt
 
 let create_l0 ?(ram_gb = 16) ?(ksm_config = Memory.Ksm.default_config) ctx ~name ~uplink
     ~addr =
@@ -59,7 +56,7 @@ let create_l0 ?(ram_gb = 16) ?(ksm_config = Memory.Ksm.default_config) ctx ~name
     uplink;
     gateway;
     ksm = Some ksm;
-    trace = Some (Sim.Ctx.trace ctx);
+    trace = Sim.Ctx.trace ctx;
     telemetry;
     m_kills =
       Sim.Telemetry.counter telemetry ~labels:[ ("hv", name) ] ~component:"vmm" "vm_kills_total";
@@ -106,7 +103,7 @@ let create_nested ?(use_vtx = true) ctx ~vm ~name =
           uplink = switch;
           gateway;
           ksm = None;
-          trace = Some (Sim.Ctx.trace ctx);
+          trace = Sim.Ctx.trace ctx;
           telemetry;
           m_kills =
             Sim.Telemetry.counter telemetry ~labels:[ ("hv", name) ] ~component:"vmm"
@@ -131,7 +128,6 @@ let uplink t = t.uplink
 let gateway t = t.gateway
 let ksm t = t.ksm
 let frame_table t = match t.backing with Physical ft -> Some ft | Guest _ -> None
-let trace t = t.trace
 let telemetry t = t.telemetry
 let vms t = t.vm_list
 let find_vm t vm_name = List.find_opt (fun vm -> String.equal (Vm.name vm) vm_name) t.vm_list

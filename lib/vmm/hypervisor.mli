@@ -63,8 +63,6 @@ val ksm : t -> Memory.Ksm.t option
 val frame_table : t -> Memory.Frame_table.t option
 (** [Some] only for L0. *)
 
-val trace : t -> Sim.Trace.t option
-
 val telemetry : t -> Sim.Telemetry.t option
 (** The sink passed at creation - consulted by components that operate
     on this host without their own telemetry parameter (detectors,

@@ -29,7 +29,7 @@ type t = {
   disk : Disk_image.t;
   mutable qemu_pid : Process_table.pid;
   addr : Net.Packet.addr;
-  trace : Sim.Trace.t option;
+  trace : Sim.Trace.t;
   telemetry : Sim.Telemetry.t option;
   m_exits : Sim.Telemetry.counter;
   m_fanout : Sim.Telemetry.counter;
@@ -71,7 +71,7 @@ let make ctx ~config ~level ~ram ~disk ~qemu_pid ~addr =
     disk;
     qemu_pid;
     addr;
-    trace = Some (Sim.Ctx.trace ctx);
+    trace = Sim.Ctx.trace ctx;
     telemetry;
     m_exits = Sim.Telemetry.counter telemetry ~labels:level_label ~component:"vmm" "exits_total";
     m_fanout =
@@ -105,12 +105,9 @@ let make ctx ~config ~level ~ram ~disk ~qemu_pid ~addr =
   }
 
 let emit t fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some tr ->
-    Sim.Trace.emitf tr (Sim.Engine.now t.engine) Sim.Trace.Info
-      ~component:("vm:" ^ t.config.Qemu_config.vm_name)
-      fmt
+  Sim.Trace.emitf t.trace (Sim.Engine.now t.engine) Sim.Trace.Info
+    ~component:("vm:" ^ t.config.Qemu_config.vm_name)
+    fmt
 
 let name t = t.config.Qemu_config.vm_name
 let engine t = t.engine

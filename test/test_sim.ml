@@ -235,7 +235,7 @@ let queue_tests =
         ignore (pop q);
         cancel q h;
         Alcotest.(check int) "size stays 0" 0 (size q);
-        Alcotest.(check bool) "empty" true (is_empty q));
+        Alcotest.(check bool) "empty" true (pop q = None));
     Alcotest.test_case "peek does not remove" `Quick (fun () ->
         let q = create () in
         ignore (push q (Sim.Time.ms 5.) "x");
