@@ -215,12 +215,24 @@ let audit_cmd =
   let infected = Arg.(value & flag & info [ "infected" ] ~doc:"Install CloudSkulk first.") in
   Cmd.v (Cmd.info "audit" ~doc) Term.(const audit_host $ seed_arg $ infected)
 
+(* Zero minutes is a valid (empty) run; a negative count is a usage
+   error, reported by cmdliner before anything is simulated. *)
+let non_negative_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a non-negative integer" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let soc_cmd =
   let doc = "Run the continuous SOC detector monitor against a tenant" in
   let infected = Arg.(value & flag & info [ "infected" ] ~doc:"Install CloudSkulk first.") in
   let minutes =
     Arg.(
-      value & opt int 60
+      value
+      & opt non_negative_int 60
       & info [ "minutes" ] ~docv:"MIN" ~doc:"Virtual minutes to monitor for.")
   in
   Cmd.v (Cmd.info "soc" ~doc)

@@ -23,8 +23,6 @@ type config = {
   codebook_seed : int;  (** both parties derive the codebook from this *)
 }
 
-val default_config : config
-
 type transfer = {
   sent : bool list;
   received : bool list;

@@ -2,13 +2,6 @@ type hypervisor = Vmware | Virtualbox | Xen | Hyperv | Kvm_qemu
 
 let hypervisors = [ Vmware; Virtualbox; Xen; Hyperv; Kvm_qemu ]
 
-let hypervisor_name = function
-  | Vmware -> "VMware"
-  | Virtualbox -> "VirtualBox"
-  | Xen -> "Xen"
-  | Hyperv -> "Hyper-V"
-  | Kvm_qemu -> "KVM/QEMU"
-
 let years = [ 2015; 2016; 2017; 2018; 2019; 2020 ]
 
 let cves hv ~year =

@@ -76,7 +76,9 @@ val run : ?config:config -> environment -> (outcome, string) result
     - t1 slow, t2 slow: [Nested_vm_detected]. *)
 
 val measure_t0 : ?config:config -> environment -> (measurement, string) result
-(** Just the baseline measurement (a file that exists nowhere else). *)
+(** Just the baseline measurement (a file that exists nowhere else).
+    Test hook: {!run} takes this measurement first; tests check the baseline
+    on its own. *)
 
 val verdict_for_ratio : outcome -> ratio:float -> verdict
 (** Re-decide a recorded outcome under a different [merge_ratio]

@@ -20,7 +20,6 @@ let default_policy =
 type tenant_state = {
   tenant : string;
   last_verdict : Dedup_detector.verdict option;
-  sweeps_since_dedup : int;
   probes : int;
   registered_at : Sim.Time.t;
   first_detected_at : Sim.Time.t option;
@@ -55,9 +54,9 @@ let event_to_string = function
       tenant
 
 (* Bounded event log: a ring over the policy's capacity. The operator's
-   alerting pipeline consumes events as they are returned from
-   [sweep_now] / recorded into telemetry; the retained log is a
-   diagnostic tail, and overflow is accounted, not silent. *)
+   alerting pipeline consumes events through the event hook and
+   telemetry; the retained log is a diagnostic tail, and overflow is
+   accounted, not silent. *)
 type ring = {
   slots : event option array;
   mutable next : int;  (* next write position *)
@@ -84,9 +83,7 @@ let ring_to_list r =
 type registered = {
   mutable env : unit -> Dedup_detector.environment;
   mutable last_verdict : Dedup_detector.verdict option;
-  mutable sweeps_since_dedup : int;
   mutable probes : int;
-  mutable deferred : bool;  (* a probe was pushed past a budget window *)
   mutable probing : bool;
       (* a probe is in flight: its ksmd wait runs the engine re-entrantly,
          so audit ticks (and their alarm pulls) can fire mid-probe; the
@@ -106,9 +103,7 @@ type t = {
   mutable tenant_order_rev : string list;  (* registration order, newest first *)
   mutable sweeps : int;
   log : ring;
-  mutable sweep_acc : event list option;  (* events of an in-flight sweep_now *)
   mutable active : bool;
-  mutable monitoring : bool;
   mutable hook : (event -> unit) option;  (* fleet SOC event stream *)
   mutable window_start : Sim.Time.t;
   mutable probes_in_window : int;
@@ -133,9 +128,7 @@ let create ?(policy = default_policy) ctx host =
     tenant_order_rev = [];
     sweeps = 0;
     log = ring_create policy.event_log_capacity;
-    sweep_acc = None;
     active = false;
-    monitoring = false;
     hook = None;
     window_start = Sim.Ctx.now ctx;
     probes_in_window = 0;
@@ -155,9 +148,6 @@ let emit t ev =
   let dropped_before = t.log.dropped in
   ring_push t.log ev;
   if t.log.dropped > dropped_before then Sim.Telemetry.incr t.m_dropped;
-  (match t.sweep_acc with
-  | Some evs -> t.sweep_acc <- Some (ev :: evs)
-  | None -> ());
   match t.hook with Some f -> f ev | None -> ()
 
 let set_event_hook t hook = t.hook <- hook
@@ -190,8 +180,7 @@ let roll_window t =
 
 let budget_left t = t.probes_in_window < t.policy.probe_budget
 
-let defer t ~sweep name (r : registered) =
-  r.deferred <- true;
+let defer t ~sweep name =
   t.budget_deferrals <- t.budget_deferrals + 1;
   Sim.Telemetry.incr t.m_budget;
   emit t (Budget_exhausted { sweep; tenant = name })
@@ -201,7 +190,6 @@ let probe_tenant t ~sweep name (r : registered) =
   let config =
     { Dedup_detector.default_config with Dedup_detector.file_pages = t.policy.probe_pages }
   in
-  r.deferred <- false;
   r.probing <- true;
   let outcome =
     Fun.protect
@@ -211,8 +199,7 @@ let probe_tenant t ~sweep name (r : registered) =
   match outcome with
   | Error reason ->
     emit t (Probe_failed { sweep; tenant = name; reason });
-    Sim.Telemetry.incr t.m_probe_failures;
-    r.sweeps_since_dedup <- 0
+    Sim.Telemetry.incr t.m_probe_failures
   | Ok outcome ->
     let now = Sim.Ctx.now t.ctx in
     let after = outcome.Dedup_detector.verdict in
@@ -232,7 +219,6 @@ let probe_tenant t ~sweep name (r : registered) =
     if changed then
       emit t (Verdict_flip { sweep; tenant = name; before = r.last_verdict; after });
     r.last_verdict <- Some after;
-    r.sweeps_since_dedup <- 0;
     (match after with
     | Dedup_detector.Nested_vm_detected when Option.is_none r.first_detected_at ->
       r.first_detected_at <- Some now;
@@ -265,7 +251,7 @@ and probe_tick t name =
     (* [r.probing]: this tick fired inside the tenant's own in-flight
        probe (an alarm pulled it to now mid-wait); the running probe
        already satisfies it and will schedule the next one *)
-    if t.active && t.monitoring && not r.probing then begin
+    if t.active && not r.probing then begin
       roll_window t;
       if budget_left t then begin
         t.probes_in_window <- t.probes_in_window + 1;
@@ -273,7 +259,7 @@ and probe_tick t name =
         schedule_probe t name (jittered_interval t)
       end
       else begin
-        defer t ~sweep:t.sweeps name r;
+        defer t ~sweep:t.sweeps name;
         (* retry shortly after the next scan window opens, with a small
            jittered pad so deferred tenants do not re-collide *)
         let until_next =
@@ -297,9 +283,7 @@ let register_tenant t ~name ~env =
       {
         env;
         last_verdict = None;
-        sweeps_since_dedup = 0;
         probes = 0;
-        deferred = false;
         probing = false;
         handle = None;
         registered_at = Sim.Ctx.now t.ctx;
@@ -307,62 +291,9 @@ let register_tenant t ~name ~env =
       };
     t.tenant_order_rev <- name :: t.tenant_order_rev;
     Sim.Telemetry.set t.m_tenants (float_of_int (Hashtbl.length t.tenants));
-    if t.active && t.monitoring then
+    if t.active then
       (* spread the first probe uniformly over one rotation interval *)
       schedule_probe t name (Sim.Time.mul (interval t) (Sim.Rng.float t.rng 1.0))
-
-let unregister_tenant t ~name =
-  (match Hashtbl.find_opt t.tenants name with
-  | Some r -> cancel_pending t r
-  | None -> ());
-  Hashtbl.remove t.tenants name;
-  t.tenant_order_rev <- List.filter (fun n -> not (String.equal n name)) t.tenant_order_rev;
-  Sim.Telemetry.set t.m_tenants (float_of_int (Hashtbl.length t.tenants))
-
-(* --- batch sweeps (legacy [start] mode and [sweep_now]) ---------------- *)
-
-let sweep_now t =
-  t.sweeps <- t.sweeps + 1;
-  let sweep = t.sweeps in
-  (* each synchronous sweep is its own scan window *)
-  t.window_start <- Sim.Ctx.now t.ctx;
-  t.probes_in_window <- 0;
-  t.sweep_acc <- Some [];
-  let findings = Install_auditor.audit t.host in
-  let alarmed = Install_auditor.is_alarming findings in
-  if alarmed then emit t (Audit_alarm { sweep; findings });
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt t.tenants name with
-      | None -> ()
-      | Some r ->
-        let due =
-          Option.is_none r.last_verdict
-          || r.sweeps_since_dedup + 1 >= t.policy.dedup_every_n_sweeps
-        in
-        if (alarmed || due || r.deferred) && not r.probing then begin
-          if budget_left t then begin
-            t.probes_in_window <- t.probes_in_window + 1;
-            probe_tenant t ~sweep name r
-          end
-          else defer t ~sweep name r
-        end
-        else r.sweeps_since_dedup <- r.sweeps_since_dedup + 1)
-    (tenant_order t);
-  let events =
-    match t.sweep_acc with Some evs -> List.rev evs | None -> []
-  in
-  t.sweep_acc <- None;
-  events
-
-let start t =
-  if not t.active then begin
-    t.active <- true;
-    t.monitoring <- false;
-    Sim.Engine.periodic (Sim.Ctx.engine t.ctx) ~every:t.policy.sweep_every (fun () ->
-        if t.active then ignore (sweep_now t);
-        t.active)
-  end
 
 (* Continuous SOC mode: the cheap audit keeps its fixed cadence (it is
    the scan-window clock), while each tenant's expensive dedup probe
@@ -383,7 +314,6 @@ let audit_tick t =
 let start_monitor t =
   if not t.active then begin
     t.active <- true;
-    t.monitoring <- true;
     t.window_start <- Sim.Ctx.now t.ctx;
     t.probes_in_window <- 0;
     List.iter
@@ -398,12 +328,11 @@ let start_monitor t =
    to now, exactly as a local audit alarm does. The scan-window budget
    still applies, so a remote operator cannot stampede the host. *)
 let pull_probes_forward t =
-  if t.active && t.monitoring then
+  if t.active then
     List.iter (fun name -> schedule_probe t name (Sim.Time.ns 0)) (tenant_order t)
 
 let stop t =
   t.active <- false;
-  t.monitoring <- false;
   List.iter
     (fun name ->
       match Hashtbl.find_opt t.tenants name with
@@ -422,7 +351,6 @@ let tenant_state t name =
       {
         tenant = name;
         last_verdict = r.last_verdict;
-        sweeps_since_dedup = r.sweeps_since_dedup;
         probes = r.probes;
         registered_at = r.registered_at;
         first_detected_at = r.first_detected_at;

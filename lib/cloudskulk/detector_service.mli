@@ -1,27 +1,22 @@
 (** Operational detection service.
 
     The paper gives the detection {e mechanism}; this module packages it
-    the way a cloud operator would run it, in two modes over the same
-    tenant registry:
+    the way a cloud operator would run it, as a continuous monitor over
+    a tenant registry ({!start_monitor}). The cheap {!Install_auditor}
+    (milliseconds, no tenant involvement) runs every
+    [policy.sweep_every]; each audit is a {e sweep}, and the sweep
+    cadence is also the scan-window clock. Each tenant's expensive
+    {!Dedup_detector} probe (minutes of ksmd waiting, needs the
+    tenant-side agent) self-schedules on a jittered rotation interval,
+    drawn from the service's {!Sim.Ctx}, so a large fleet's probes
+    spread across the window instead of arriving as a thundering herd.
+    An audit alarm pulls every tenant's next probe forward to now.
 
-    {b Batch sweeps} ({!sweep_now} / {!start}): every sweep runs the
-    {!Install_auditor} (milliseconds, no tenant involvement); the
-    {!Dedup_detector} protocol (minutes of ksmd waiting, needs the
-    tenant-side agent) runs for a tenant when the audit is alarming,
-    when the tenant has never been probed, or when its rotation is due.
-
-    {b Continuous monitoring} ({!start_monitor}): the audit keeps the
-    sweep cadence (it is also the scan-window clock), while each
-    tenant's expensive probe self-schedules on a jittered rotation
-    interval — seeded from the service's {!Sim.Ctx} — so a large fleet's
-    probes spread across the window instead of arriving as a thundering
-    herd. An audit alarm pulls every tenant's next probe forward to now.
-
-    Both modes share a probe budget per scan window: once
-    [policy.probe_budget] probes have run in a window, further probes
-    are deferred to the next window and accounted explicitly
-    ({!event.Budget_exhausted}, {!budget_deferrals}, and the
-    [detector_budget_exhausted_total] counter).
+    Probes share a budget per scan window: once [policy.probe_budget]
+    probes have run in a window, further probes are deferred to the next
+    window and accounted explicitly ({!event.Budget_exhausted},
+    {!budget_deferrals}, and the [detector_budget_exhausted_total]
+    counter).
 
     Events land in a bounded ring ({!events}; overflow counted by
     {!events_dropped}), and verdicts/latencies stream into the host's
@@ -34,16 +29,14 @@
 
 type policy = {
   sweep_every : Sim.Time.t;
-      (** gap between sweeps in {!start} mode; audit cadence and scan
-          window length in {!start_monitor} mode *)
+      (** gap between audit sweeps, which is also the scan-window
+          length *)
   probe_pages : int;  (** File-A size for routine probes (default 8) *)
   dedup_every_n_sweeps : int;
-      (** rotation: run the expensive protocol for every tenant at least
-          every N sweeps even without an audit alarm (default 4). In
-          monitor mode the per-tenant probe interval is
-          [sweep_every * dedup_every_n_sweeps]. *)
+      (** rotation: each tenant's probe interval is
+          [sweep_every * dedup_every_n_sweeps] (default 4) *)
   probe_jitter : float;
-      (** monitor mode: each tenant's next probe fires after the
+      (** each tenant's next probe fires after the
           rotation interval scaled by a uniform factor in
           [1 +/- probe_jitter] (default 0.2; 0 disables jitter) *)
   probe_budget : int;
@@ -59,7 +52,6 @@ val default_policy : policy
 type tenant_state = {
   tenant : string;
   last_verdict : Dedup_detector.verdict option;
-  sweeps_since_dedup : int;
   probes : int;  (** completed (non-failed) probes *)
   registered_at : Sim.Time.t;
   first_detected_at : Sim.Time.t option;
@@ -89,33 +81,22 @@ val register_tenant :
   t -> name:string -> env:(unit -> Dedup_detector.environment) -> unit
 (** [env] is re-evaluated at each probe, so it can track a tenant whose
     OS moves (e.g. into a nested VM). Registering an existing name
-    replaces its environment but keeps its history. Under
-    {!start_monitor}, a newly registered tenant's first probe is spread
-    uniformly over one rotation interval. *)
-
-val unregister_tenant : t -> name:string -> unit
-
-val sweep_now : t -> event list
-(** Run one sweep synchronously (advances virtual time by however long
-    the probes take); returns the events it raised — including any that
-    overflowed out of the retained ring. Each call is its own scan
-    window for budget purposes. *)
-
-val start : t -> unit
-(** Batch mode: sweep on the policy's cadence until {!stop}. *)
+    replaces its environment but keeps its history. Once the monitor
+    runs, a newly registered tenant's first probe is spread uniformly
+    over one rotation interval. *)
 
 val start_monitor : t -> unit
-(** Continuous SOC mode: periodic audits every [sweep_every] plus
-    jittered self-scheduling per-tenant probes, until {!stop}. A service
-    is in one mode at a time; calling either start while active is a
-    no-op. *)
+(** Start monitoring: periodic audits every [sweep_every] plus jittered
+    self-scheduling per-tenant probes, until {!stop}. Each tenant's
+    first probe is spread uniformly over one rotation interval. A no-op
+    while the monitor runs. *)
 
 val pull_probes_forward : t -> unit
 (** Schedule every registered tenant's next monitor probe at the
     current instant - what a remote SOC audit request does when it
     reaches this host ({!Fleet_soc}). The scan-window budget still
     applies, so remote audits cannot stampede the host. No-op unless
-    the service is in monitor mode. *)
+    the monitor runs. *)
 
 val set_event_hook : t -> (event -> unit) option -> unit
 (** Stream every event to [hook] as it is emitted (in addition to the

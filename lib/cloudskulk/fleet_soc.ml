@@ -37,7 +37,6 @@ let note t d =
   then t.detections_rev <- d :: t.detections_rev
 
 let detections t = List.rev t.detections_rev
-let detection_count t = List.length t.detections_rev
 let reports_received t = t.reports
 let audits_sent t = t.audits_sent
 
@@ -49,13 +48,3 @@ let next_audit_target t ~hosts =
     t.audits_sent <- t.audits_sent + 1;
     Some target
   end
-
-let ttd_stats t =
-  let st = Sim.Stats.create () in
-  List.iter
-    (fun d -> Sim.Stats.add st (Int64.to_float (Sim.Time.to_ns d.det_ttd)))
-    (detections t);
-  st
-
-let probes_spent t =
-  List.fold_left (fun acc d -> acc + d.det_probes) 0 (detections t)

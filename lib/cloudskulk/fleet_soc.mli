@@ -30,7 +30,6 @@ val detections : t -> detection list
 (** Unique detections in arrival order - deterministic because the
     shard runner's delivery order is (see {!Sim.Parallel.run_sharded}). *)
 
-val detection_count : t -> int
 val reports_received : t -> int
 
 val next_audit_target : t -> hosts:int -> int option
@@ -38,9 +37,3 @@ val next_audit_target : t -> hosts:int -> int option
     ([None] for an empty fleet). *)
 
 val audits_sent : t -> int
-
-val ttd_stats : t -> Sim.Stats.t
-(** Time-to-detection sample over the unique detections. *)
-
-val probes_spent : t -> int
-(** Total dedup probes behind the unique detections. *)

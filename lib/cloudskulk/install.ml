@@ -256,8 +256,6 @@ let run ?config ctx ~host ~registry ~target_name =
               total_time = Sim.Time.diff (Sim.Engine.now engine) t0;
             }))))
 
-let installation_time r = r.total_time
-
 let pp_report fmt r =
   Format.fprintf fmt "CloudSkulk installed in %a@\n" Sim.Time.pp r.total_time;
   List.iter

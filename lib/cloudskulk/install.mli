@@ -81,7 +81,4 @@ val run :
     config's [faults]; the nested hypervisor is built under
     {!Sim.Ctx.quiet} so it leaves no records in the host's trace. *)
 
-val installation_time : report -> Sim.Time.t
-(** Dominated by the live-migration step, as the paper observes. *)
-
 val pp_report : Format.formatter -> report -> unit

@@ -28,11 +28,7 @@ type code =
   | Forward_to_vmx_guest
   | Vmcs_signature
 
-val code_to_string : code -> string
-
 type severity = Info | Suspicious | Alarm
-
-val severity_to_string : severity -> string
 
 type finding = {
   code : code;

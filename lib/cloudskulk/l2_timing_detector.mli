@@ -39,8 +39,6 @@ type config = {
   iterations : int;  (** timing-loop iterations per op (default 1000) *)
 }
 
-val default_config : config
-
 type observation = {
   op_name : string;
   expected_l1_ns : float;  (** provisioning-time baseline *)

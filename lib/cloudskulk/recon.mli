@@ -30,7 +30,9 @@ type monitor_probe = {
 }
 
 val probe_monitor : Vmm.Vm.t -> monitor_probe
-(** The monitor-based path: what the attacker learns without [ps]. *)
+(** The monitor-based path: what the attacker learns without [ps].
+    Test hook: the install finds its target with {!find_target}; tests drive
+    this other reconnaissance path of the paper. *)
 
 val verify_config : finding -> (unit, string) result
 (** Cross-check the parsed config against monitor output (memory size
@@ -40,4 +42,6 @@ val verify_config : finding -> (unit, string) result
 val probe_disk : Vmm.Hypervisor.t -> finding -> (float, string) result
 (** The [qemu-img] path: read the target's image off the host's storage
     and recover its virtual size in GiB (Section IV-A's "determine the
-    disk size of a running VM"). *)
+    disk size of a running VM").
+Test hook: the install finds its target with {!find_target}; tests drive
+    this other reconnaissance path of the paper. *)

@@ -20,13 +20,7 @@ let node_exn vm =
   | None -> invalid_arg (Vmm.Vm.name vm ^ " has no network node")
 
 let guestx_node t = node_exn t.guestx
-let victim_node t = node_exn t.victim
-let victim_level t = Vmm.Vm.level t.victim
 
 let is_intact t =
   Vmm.Vm.is_alive t.guestx && Vmm.Vm.is_alive t.victim
   && Vmm.Level.is_nested (Vmm.Vm.level t.victim)
-
-let pp fmt t =
-  Format.fprintf fmt "RITM{guestx=%a victim=%a ports=%d->%d}" Vmm.Vm.pp t.guestx Vmm.Vm.pp
-    t.victim t.ports.migration_host_port t.ports.migration_ritm_port

@@ -26,13 +26,7 @@ val guestx_node : t -> Net.Fabric.Node.t
 (** GuestX's network node - every packet to or from the victim crosses
     it, which is where taps go. *)
 
-val victim_node : t -> Net.Fabric.Node.t
-
-val victim_level : t -> Vmm.Level.t
-(** Always L2 for a standard installation. *)
-
 val is_intact : t -> bool
 (** GuestX and the victim are both still alive and the victim is
-    nested. *)
-
-val pp : Format.formatter -> t -> unit
+    nested. Test hook: tests check it after an install, a victim reboot and
+    a kill. *)

@@ -157,5 +157,3 @@ let infected ?ksm_config ?customer_memory_mb ?attacker_syncs_changes ?install_co
   with
   | Ok t -> t
   | Error f -> invalid_arg ("Scenarios." ^ install_failure_to_string f)
-
-let is_infected t = Option.is_some t.ritm

@@ -67,5 +67,3 @@ val infected :
 (** {!infected_result}, raising [Invalid_argument] on failure - the
     historical surface, fine wherever the fault profile cannot abort the
     install. Fuzz drivers and chaos tests use {!infected_result}. *)
-
-val is_infected : t -> bool

@@ -25,9 +25,6 @@ let start_packet_capture ritm =
 
 let captures s = List.rev s.captured
 
-let stop_packet_capture ritm s =
-  Net.Fabric.Node.remove_tap (Ritm.guestx_node ritm) ~name:s.sniffer_tap
-
 (* {2 Keylogger} *)
 
 type keylogger = {
@@ -55,9 +52,6 @@ let start_keylogger ritm ~ports =
   k
 
 let keystrokes k = List.rev k.keys
-
-let stop_keylogger ritm k =
-  Net.Fabric.Node.remove_tap (Ritm.guestx_node ritm) ~name:k.keylogger_tap
 
 (* {2 Pre-encryption write trap} *)
 
@@ -146,8 +140,6 @@ let rewrite_traffic ritm ~port ~pattern ~replacement =
       end
       else Net.Fabric.Forward);
   stats
-
-let stop_active_service ritm ~name = Net.Fabric.Node.remove_tap (Ritm.guestx_node ritm) ~name
 
 (* {2 Victim-side traffic helper} *)
 

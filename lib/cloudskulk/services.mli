@@ -21,7 +21,6 @@ val start_packet_capture : Ritm.t -> sniffer
 (** Record every packet crossing GuestX. *)
 
 val captures : sniffer -> capture list
-val stop_packet_capture : Ritm.t -> sniffer -> unit
 
 type keylogger
 
@@ -30,7 +29,6 @@ val start_keylogger : Ritm.t -> ports:int list -> keylogger
     (e.g. SSH port 22). *)
 
 val keystrokes : keylogger -> string list
-val stop_keylogger : Ritm.t -> keylogger -> unit
 
 type write_trap
 
@@ -40,6 +38,8 @@ val trap_guest_writes : Ritm.t -> write_trap
 
 val trapped_writes : write_trap -> string list
 val untrap_guest_writes : Ritm.t -> write_trap -> unit
+(** Test hook: one of the paper's RITM services, which no experiment runs;
+    tests drive it. *)
 
 val launch_parallel_os : Ritm.t -> name:string -> memory_mb:int -> (Vmm.Vm.t, string) result
 (** A separate malicious OS beside the victim under the same nested
@@ -54,14 +54,13 @@ type active_stats = {
 
 val drop_traffic : Ritm.t -> port:int -> active_stats
 (** Silently drop victim traffic to a port (e.g. suppress outgoing
-    mail). *)
+    mail). Test hook: one of the paper's RITM services, which no experiment
+    runs; tests drive it. *)
 
 val rewrite_traffic :
   Ritm.t -> port:int -> pattern:string -> replacement:string -> active_stats
 (** Rewrite matching payload substrings in flight (e.g. tamper with web
     responses). Encrypted payloads pass unmodified. *)
-
-val stop_active_service : Ritm.t -> name:string -> unit
 
 (** {2 Victim-side traffic helper}
 

@@ -23,5 +23,3 @@ type result = {
 
 val scan_host : Vmm.Hypervisor.t -> result
 (** Sweep every VM on the host. *)
-
-val scan_vm : Vmm.Vm.t -> hit list

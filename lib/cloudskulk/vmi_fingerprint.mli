@@ -26,7 +26,4 @@ type mismatch = {
   actual : string;
 }
 
-val compare_fingerprints : expected:fingerprint -> actual:fingerprint -> mismatch list
-(** Empty list = the VM looks like what was provisioned. *)
-
 val check : expected:fingerprint -> Vmm.Vm.t -> (unit, mismatch list) result

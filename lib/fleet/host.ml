@@ -421,7 +421,3 @@ let report t =
   }
 
 let soc t = t.soc
-let id t = t.id
-let infected t = t.infected
-let tenants t = t.tenants
-let detector t = t.service

@@ -61,13 +61,3 @@ val report : t -> report
 
 val soc : t -> Cloudskulk.Fleet_soc.t option
 (** The fleet SOC - [Some] only on host 0. *)
-
-val id : t -> int
-val infected : t -> bool
-val tenants : t -> Vmm.Vm.t list
-val detector : t -> Cloudskulk.Detector_service.t
-
-val host_of_addr : Net.Packet.addr -> int option
-(** Parse a fleet host address ["fleet-<id>"]. *)
-
-val host_addr : int -> Net.Packet.addr

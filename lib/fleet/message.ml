@@ -18,18 +18,3 @@ type t =
       vr_probes : int;
     }
       (* host -> SOC: first Nested_vm_detected flip for a tenant *)
-
-let to_string = function
-  | Vm_stream d ->
-    Printf.sprintf "vm-stream %s (%d pages)" d.Migration.Stream.vm_name (Migration.Stream.page_count d)
-  | Chatter p -> Format.asprintf "chatter %a" Net.Packet.pp p
-  | Audit_request -> "audit-request"
-  | Verdict_report { vr_host; vr_tenant; vr_probes; _ } ->
-    Printf.sprintf "verdict-report host %d tenant %s (%d probes)" vr_host vr_tenant
-      vr_probes
-
-let bytes = function
-  | Vm_stream d -> Migration.Stream.bytes d
-  | Chatter p -> p.Net.Packet.size_bytes
-  | Audit_request -> 128
-  | Verdict_report _ -> 256

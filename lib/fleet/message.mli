@@ -25,8 +25,3 @@ type t =
       vr_probes : int;
     }
       (** host -> SOC: a tenant's first [Nested_vm_detected] flip *)
-
-val to_string : t -> string
-
-val bytes : t -> int
-(** Nominal wire size, for fabric accounting. *)

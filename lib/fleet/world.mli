@@ -24,13 +24,12 @@ val run : ?jobs:int -> ?shards:int -> Sim.Ctx.t -> Spec.t -> result
 (** {1 Fleet-wide aggregates} *)
 
 val boots : result -> int
-val kills : result -> int
-val alive : result -> int
 val parked : result -> int
 val dropped : result -> int
 val emigrations : result -> int
 val immigrations : result -> int
-val refusals : result -> int
+(** Test hook: the fleet tests balance it against {!emigrations}. *)
+
 val infected_hosts : result -> int
 val detected_hosts : result -> int
 val events : result -> int

@@ -41,10 +41,6 @@ val trace_out : string option Cmdliner.Term.t
 val list_only : bool Cmdliner.Term.t
 (** [--list]: print experiment ids and exit. *)
 
-val write_out : string -> string -> unit
-(** [write_out path contents]: write to [path], or stdout when [path]
-    is ["-"]. *)
-
 val sink : metrics_out:string option -> trace_out:string option -> Sim.Telemetry.t option
 (** The run's telemetry sink: present iff at least one export path was
     given, so unexported runs pay nothing and stay byte-identical to an

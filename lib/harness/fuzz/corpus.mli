@@ -25,6 +25,8 @@ val entry_of_outcome : name:string -> Program.t -> Exec.outcome -> entry
 val entry_to_string : entry -> string
 
 val entry_of_string : name:string -> string -> (entry, string) result
+(** Test hook: {!load_dir} parses every file with it; tests check the round
+    trip through {!entry_to_string}. *)
 
 val load_dir : string -> (entry list, string) result
 (** All [*.skulkfuzz] files in the directory, sorted by name; an empty

@@ -38,10 +38,6 @@ let fnv_string h s =
   String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
   !h
 
-let signature feats =
-  let feats = List.sort_uniq String.compare feats in
-  List.fold_left (fun h f -> fnv_byte (fnv_string h f) (Char.code '\n')) fnv_offset feats
-
 let path_signature feats =
   List.fold_left (fun h f -> fnv_byte (fnv_string h f) (Char.code '\n')) fnv_offset feats
 

@@ -27,9 +27,6 @@ val bucket : float -> int
     to 62 - coarse enough that harmless magnitude jitter does not mint
     new features, fine enough that regimes (zero / few / many) do. *)
 
-val signature : string list -> int64
-(** FNV-1a 64 over the sorted, deduplicated features. *)
-
 val path_signature : string list -> int64
 (** FNV-1a 64 over the emission sequence as given - order and
     duplicates significant, so distinct action paths to the same

@@ -9,9 +9,9 @@
     function of [(seed, budget, batch)] whatever [jobs] is.
 
     A candidate contributing an unseen coverage feature joins the
-    corpus. The first program to violate each oracle class is
-    {!minimise}d (replay-verified delete-from-end passes, then
-    {!Program.shrink} steps) and reported as a find.
+    corpus. The first program to violate each oracle class is minimised
+    (replay-verified delete-from-end passes, then {!Program.shrink}
+    steps) and reported as a find.
 
     [run] also executes the feedback-free baseline - same seed, same
     budget, generation only - and reports both coverage counts, so
@@ -47,7 +47,3 @@ type stats = {
 }
 
 val run : ?progress:(string -> unit) -> config -> stats
-
-val minimise : Program.t -> oracle:string -> Program.t
-(** Smallest variant still violating [oracle]; every step is verified
-    by replay. *)

@@ -11,7 +11,7 @@
 
 type outcome = {
   features : string list;  (** sorted, distinct *)
-  signature : int64;  (** {!Coverage.signature} of [features] *)
+  signature : int64;  (** {!Coverage.path_signature} of [features] *)
   violation : Oracle.violation option;
       (** the first oracle violation; later actions were not run *)
 }

@@ -87,16 +87,14 @@ val monitor_command : int -> string
     garbage. Immutable by construction so fuzz workers in parallel
     domains can read it freely. *)
 
-val max_actions : int
-(** Upper bound on [actions] length (mutation never exceeds it). *)
-
-val ksm_to_string : ksm_choice -> string
 val fault_to_string : fault_choice -> string
 val strategy_to_string : strategy_choice -> string
 val workload_to_string : workload_choice -> string
 
 val validate : t -> (unit, string) result
-(** All fields within the generator's bounds - what [of_string] accepts. *)
+(** All fields within the generator's bounds - what [of_string] accepts.
+    Test hook: {!of_string} applies it; tests check generated, mutated and
+    shrunk programs with it. *)
 
 val generate : Sim.Rng.t -> t
 (** A fresh random program: at most 4 actions, always in-bounds. *)
@@ -104,7 +102,7 @@ val generate : Sim.Rng.t -> t
 val mutate : Sim.Rng.t -> t -> t
 (** One to three mutation steps (insert/delete/duplicate/swap/replace/
     tweak an action; flip a scenario, KSM, fault or sizing knob;
-    reseed). Mutated programs may grow up to {!max_actions} actions -
+    reseed). Mutated programs may grow up to 16 actions -
     structurally richer than anything [generate] emits, which is where
     guided fuzzing outruns blind generation. *)
 
@@ -123,6 +121,8 @@ val of_string : string -> (t, string) result
     outcome there). *)
 
 val equal : t -> t -> bool
+(** Test hook: {!mutate} uses it to insist on a change; tests check mutants
+    with it. *)
 
 val summary : t -> string
 (** One line: scenario, knobs, action count. *)

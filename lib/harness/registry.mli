@@ -11,18 +11,14 @@ val register : Experiment.t -> unit
 (** Append a spec. Registration order is presentation order ([--list]
     and full runs). Raises [Invalid_argument] on a duplicate id. *)
 
-val all : unit -> Experiment.t list
-(** Registered specs, in registration order. *)
-
-val find : string -> Experiment.t option
-
 val list_lines : unit -> string list
 (** The [--list] output, one line per experiment ([%-14s %s] of id and
-    doc) - exposed so tests can pin it without spawning a process. *)
+    doc). Test hook: tests pin it without spawning a process. *)
 
 val term : prologue:string list -> unit Cmdliner.Term.t
 (** The assembled term over the shared flags. [prologue] lines are
-    printed before a full (no [--only]) run. *)
+    printed before a full (no [--only]) run. Test hook: {!main} evaluates
+    it; tests parse flags through it without spawning a process. *)
 
 val main : name:string -> doc:string -> ?prologue:string list -> unit -> int
 (** Build the command and [Cmdliner.Cmd.eval] it; returns the exit

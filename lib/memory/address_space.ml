@@ -39,9 +39,7 @@ let window parent ~name ~offset ~pages =
 
 let name t = t.name
 let pages t = t.pages
-let bytes t = t.pages * Page.size_bytes
 let is_root t = match t.backing with Root _ -> true | Window _ -> false
-let parent t = match t.backing with Root _ -> None | Window w -> Some w.parent
 
 let check t i =
   if i < 0 || i >= t.pages then
@@ -190,6 +188,3 @@ let check_invariants t =
             err "space %s: frame %d mapped %d times but refcount is %d" t.name f n
               (Frame_table.refcount r.table f))))
   end
-
-let pp fmt t =
-  Format.fprintf fmt "%s (%d pages%s)" t.name t.pages (if is_root t then "" else ", window")

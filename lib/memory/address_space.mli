@@ -22,16 +22,12 @@ val window : t -> name:string -> offset:int -> pages:int -> t
 
 val name : t -> string
 val pages : t -> int
-val bytes : t -> int
 val is_root : t -> bool
-val parent : t -> t option
-
-val frame_table : t -> Frame_table.t
-(** The physical frame table this space ultimately resolves into. *)
 
 val resolve : t -> int -> t * int
 (** [resolve t i] is the root space and root-space index that page [i]
-    delegates to. [resolve] of a root space is the identity. *)
+    delegates to. [resolve] of a root space is the identity. Test hook:
+    tests check where a window's pages land in the root space. *)
 
 val frame_at : t -> int -> Frame_table.frame
 val read : t -> int -> Page.Content.t
@@ -72,7 +68,8 @@ val load : t -> offset:int -> Page.Content.t array -> unit
     (e.g. loading File-A into memory). *)
 
 val contents : t -> Page.Content.t array
-(** Snapshot of all page contents (by local index). *)
+(** Snapshot of all page contents (by local index). Test hook: tests compare
+    whole spaces with it, for example across a migration. *)
 
 val shared_page_count : t -> int
 (** Pages of this space currently backed by a shared frame. *)
@@ -84,5 +81,3 @@ val check_invariants : t -> (unit, string) result
     frame is mapped more times than its table refcount allows. [Error]
     describes the first violation; shared by the fuzzer and the qcheck
     suites as the address-space oracle (cf. {!Ksm.check_invariants}). *)
-
-val pp : Format.formatter -> t -> unit

@@ -115,8 +115,6 @@ let fold_dirty t f init =
   done;
   !acc
 
-let iter_dirty t f = fold_dirty t (fun () i -> f i) ()
-
 let collect_and_clear t =
   let acc = fold_dirty t (fun acc i -> i :: acc) [] in
   clear t;

@@ -47,9 +47,7 @@ val fold_dirty : t -> ('a -> int -> 'a) -> 'a -> 'a
 (** [fold_dirty t f init] folds [f] over the dirty indices in increasing
     order. Allocation-free apart from what [f] does. *)
 
-val iter_dirty : t -> (int -> unit) -> unit
-
 val collect_and_clear : t -> int list
 (** Indices that were dirty, in increasing order; the bitmap is clean
     afterwards. Allocates the list: hot paths should prefer
-    {!drain} + {!fold_dirty}. *)
+    {!drain} + {!fold_dirty}. Test hook: tests read the bitmap with it. *)

@@ -12,7 +12,6 @@ let name t = t.name
 let pages t = Array.length t.contents
 let bytes t = Array.length t.contents * Page.size_bytes
 let content t i = t.contents.(i)
-let contents t = Array.copy t.contents
 
 let mutate_all t ~salt =
   {

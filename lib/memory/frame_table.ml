@@ -108,10 +108,6 @@ let mark_stable t f =
   assert_live t f;
   set_stable t f true
 
-let clear_stable t f =
-  assert_live t f;
-  set_stable t f false
-
 let is_stable t f =
   assert_live t f;
   get_stable t f

@@ -58,14 +58,15 @@ val write : t -> frame -> Page.Content.t -> unit
 val mark_stable : t -> frame -> unit
 (** Flag a frame as living in KSM's stable tree. *)
 
-val clear_stable : t -> frame -> unit
 val is_stable : t -> frame -> bool
 
 val live_frames : t -> int
-(** Number of allocated (refcounted > 0) frames. *)
+(** Number of allocated (refcounted > 0) frames. Test hook: tests check
+    frame accounting after writes, merges and frees. *)
 
 val shared_frames : t -> int
-(** Number of frames with refcount > 1. *)
+(** Number of frames with refcount > 1. Test hook: tests check how many
+    frames merging left shared. *)
 
 val sharing_savings_pages : t -> int
 (** Pages of RAM saved by sharing: sum over shared frames of

@@ -362,7 +362,6 @@ let start t =
   end
 
 let stop t = t.active <- false
-let running t = t.active
 let full_scans t = t.full_scans
 let pages_merged t = t.merges
 let pages_volatile_skipped t = t.volatile_skips

@@ -53,8 +53,8 @@ val start : t -> unit
 (** Begin periodic scanning on the engine's clock. Idempotent. *)
 
 val stop : t -> unit
-
-val running : t -> bool
+(** Test hook: tests stop ksmd to freeze merging; every experiment runs it
+    to the end. *)
 
 val scan_once : t -> unit
 (** Immediately examine the next [pages_to_scan] pages (a single wakeup's
@@ -69,13 +69,14 @@ val pages_merged : t -> int
 val pages_volatile_skipped : t -> int
 (** Scans that skipped the unstable tree because the page's content had
     changed since its previous scan (the checksum gate; cf. Linux's
-    [pages_volatile]). *)
+    [pages_volatile]). Test hook: tests check the checksum gate with it. *)
 
 val pages_rescan_avoided : t -> int
 (** Page examinations that reused the cached checksum because no write
     was observed since the page's previous scan - the read + hash was
     skipped. Applies in both full and incremental modes; behaviour is
-    unchanged, only cost. *)
+    unchanged, only cost.
+Test hook: tests check the checksum cache with it. *)
 
 val pages_shared : t -> int
 (** Stable-tree frames currently live (Linux's [pages_shared]). *)

@@ -5,7 +5,6 @@ type t = {
 }
 
 let default = { private_write = Sim.Time.ns 400; cow_break = Sim.Time.us 5.5; noise_rsd = 0.08 }
-let noiseless = { default with noise_rsd = 0. }
 
 let write_cost t rng kind =
   let base =

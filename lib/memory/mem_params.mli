@@ -14,8 +14,5 @@ type t = {
 val default : t
 (** 400 ns private, 5.5 µs CoW break, 8 % jitter. *)
 
-val noiseless : t
-(** Same means, zero jitter; for deterministic unit tests. *)
-
 val write_cost : t -> Sim.Rng.t -> Address_space.write_kind -> Sim.Time.t
 (** Sampled cost of one write of the given kind. *)

@@ -23,8 +23,6 @@ module Content = struct
   let of_int64 x = x
   let to_int64 x = x
   let equal = Int64.equal
-  let compare = Int64.compare
   let hash c = Int64.to_int (Int64.shift_right_logical c 3)
   let is_zero c = Int64.equal c 0L
-  let pp fmt c = Format.fprintf fmt "%016Lx" c
 end

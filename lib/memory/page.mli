@@ -35,8 +35,6 @@ module Content : sig
   val to_int64 : t -> int64
 
   val equal : t -> t -> bool
-  val compare : t -> t -> int
   val hash : t -> int
   val is_zero : t -> bool
-  val pp : Format.formatter -> t -> unit
 end

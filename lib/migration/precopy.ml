@@ -396,7 +396,3 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
               retransmissions = !retransmissions;
               stalled = !stalled;
             }))
-
-let estimated_idle_time ?(config = default_config) ~pages () =
-  let bytes = pages * (Memory.Page.size_bytes + config.page_header_bytes) in
-  Net.Link.transfer_time config.link bytes

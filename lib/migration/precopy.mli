@@ -101,7 +101,3 @@ val migrate :
     Without [?fault] the driver takes the exact historical code path -
     identical virtual-time advancement and RNG usage - so zero-fault
     runs are byte-identical to pre-fault builds. *)
-
-val estimated_idle_time : ?config:config -> pages:int -> unit -> Sim.Time.t
-(** Analytic single-round estimate: what an idle-guest migration should
-    take - useful as a sanity anchor in tests. *)

@@ -25,4 +25,5 @@ val resolve : t -> addr:Net.Packet.addr -> port:int -> (Vmm.Vm.t, string) result
     the listening VM. *)
 
 val hops : t -> addr:Net.Packet.addr -> port:int -> int
-(** Number of forward rules traversed when resolving (0 if direct). *)
+(** Number of forward rules traversed when resolving (0 if direct).
+    Test hook: tests check the forward chain that {!resolve} walks. *)

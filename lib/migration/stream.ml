@@ -32,16 +32,6 @@ let capture (vm : Vmm.Vm.t) =
     pages = !pages;
   }
 
-(* Wire size: every nonzero page travels in full, plus a fixed header
-   per page (index) and per stream (identity) - the same accounting the
-   pre-copy driver uses for its first full round. *)
-let header_bytes = 256
-let page_header_bytes = 8
-
-let bytes d =
-  header_bytes
-  + List.length d.pages * (Memory.Page.size_bytes + page_header_bytes)
-
 let page_count d = List.length d.pages
 
 let resume hv ~incoming_port d =

@@ -21,12 +21,8 @@ val capture : Vmm.Vm.t -> descriptor
 (** Snapshot the VM's RAM (zero pages elided). The VM is left running -
     the fleet churn layer decides when to kill the source copy. *)
 
-val bytes : descriptor -> int
-(** Wire size: a fixed stream header plus one full page and a small
-    page header per nonzero page - the same accounting pre-copy uses
-    for its first full round. *)
-
 val page_count : descriptor -> int
+(** Test hook: tests check that only nonzero pages travel. *)
 
 val resume :
   Vmm.Hypervisor.t -> incoming_port:int -> descriptor -> (Vmm.Vm.t, string) result

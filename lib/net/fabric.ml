@@ -12,7 +12,6 @@ type node = {
   handlers : (Packet.port, Packet.t -> unit) Hashtbl.t;
   forwards : (Packet.port, Packet.endpoint * switch) Hashtbl.t;
   mutable taps : (string * tap) list;
-  mutable received : int;
   mutable unhandled : int;
 }
 
@@ -24,7 +23,6 @@ and switch = {
   stations : (Packet.addr, node) Hashtbl.t;
   mutable delivered : int;
   mutable dropped : int;
-  mutable bytes : int;
   mutable routed : int;
   (* Uplink escape hatch: packets addressed to no attached station are
      handed here (after the usual link delay) instead of being dropped.
@@ -38,7 +36,6 @@ and switch = {
 }
 
 let rec deliver node packet =
-  node.received <- node.received + 1;
   match apply_taps node.taps packet with
   | None -> ()
   | Some packet -> (
@@ -63,14 +60,12 @@ and apply_taps taps packet =
 
 and deliver_on_wire sw node packet =
   sw.delivered <- sw.delivered + 1;
-  sw.bytes <- sw.bytes + packet.Packet.size_bytes;
   Sim.Telemetry.incr sw.m_delivered;
   Sim.Telemetry.add sw.m_bytes packet.Packet.size_bytes;
   deliver node packet
 
 and route_on_wire sw route packet =
   sw.routed <- sw.routed + 1;
-  sw.bytes <- sw.bytes + packet.Packet.size_bytes;
   Option.iter Sim.Telemetry.incr sw.m_routed;
   Sim.Telemetry.add sw.m_bytes packet.Packet.size_bytes;
   route packet
@@ -145,7 +140,6 @@ module Switch = struct
       stations = Hashtbl.create 16;
       delivered = 0;
       dropped = 0;
-      bytes = 0;
       routed = 0;
       default_route = None;
       m_routed = None;
@@ -156,8 +150,6 @@ module Switch = struct
       m_bytes =
         Sim.Telemetry.counter telemetry ~labels ~component:"net" "bytes_carried_total";
     }
-
-  let name t = t.sw_name
 
   (* The routed counter is registered on first use, not at create time,
      so switches that never set a route export exactly the series they
@@ -171,13 +163,11 @@ module Switch = struct
              ~labels:[ ("switch", t.sw_name) ]
              ~component:"net" "packets_routed_total")
 
-  let default_route t = t.default_route
   let send = switch_send
   let send_burst = switch_send_burst
   let packets_delivered t = t.delivered
   let packets_dropped t = t.dropped
   let packets_routed t = t.routed
-  let bytes_carried t = t.bytes
 end
 
 module Node = struct
@@ -191,11 +181,9 @@ module Node = struct
       handlers = Hashtbl.create 8;
       forwards = Hashtbl.create 8;
       taps = [];
-      received = 0;
       unhandled = 0;
     }
 
-  let name t = t.node_name
   let addr t = t.node_addr
   let attach t sw = Hashtbl.replace sw.stations t.node_addr t
 
@@ -204,7 +192,6 @@ module Node = struct
     | Some n when n == t -> Hashtbl.remove sw.stations t.node_addr
     | Some _ | None -> ()
   let listen t port handler = Hashtbl.replace t.handlers port handler
-  let stop_listening t port = Hashtbl.remove t.handlers port
   let add_forward t ~from_port ~to_ ~via = Hashtbl.replace t.forwards from_port (to_, via)
   let remove_forward t ~from_port = Hashtbl.remove t.forwards from_port
   let forward_target t port = Option.map fst (Hashtbl.find_opt t.forwards port)
@@ -213,16 +200,12 @@ module Node = struct
     Hashtbl.fold (fun port (to_, _) acc -> (port, to_) :: acc) t.forwards []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   let add_tap t ~name tap = t.taps <- t.taps @ [ (name, tap) ]
-  let remove_tap t ~name = t.taps <- List.filter (fun (n, _) -> n <> name) t.taps
 
   let send t ~via packet =
     ignore t.node_engine;
     switch_send via packet
 
-  let route_through t packet =
-    t.received <- t.received + 1;
-    apply_taps t.taps packet
+  let route_through t packet = apply_taps t.taps packet
 
-  let packets_received t = t.received
   let packets_unhandled t = t.unhandled
 end

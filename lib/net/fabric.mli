@@ -33,8 +33,6 @@ module Switch : sig
       [net_packets_dropped_total{switch=name}] and
       [net_bytes_carried_total{switch=name}]. *)
 
-  val name : t -> string
-
   val send : t -> Packet.t -> unit
   (** Route the packet to the node holding [dst.addr], delivering it
       after the link's transfer time. Packets to unknown addresses are
@@ -46,9 +44,8 @@ module Switch : sig
       packets' serialisation times - a serial wire pays latency once
       per back-to-back train. Destinations are resolved and unknown
       addresses counted dropped at send time, as {!send} does. An empty
-      burst is a no-op. Use for high-rate senders (packet generators,
-      covert-channel pulses) where per-packet events dominate engine
-      cost. *)
+      burst is a no-op. Test hook: no sender in the experiments batches
+      packets; tests pin the burst timing model. *)
 
   val set_default_route : t -> (Packet.t -> unit) option -> unit
   (** Install (or clear) the switch's escape hatch: a packet addressed
@@ -60,22 +57,23 @@ module Switch : sig
       switches that never set one export exactly the series they always
       did. *)
 
-  val default_route : t -> (Packet.t -> unit) option
-
   val packets_delivered : t -> int
+  (** Test hook: tests check what reached attached stations; runs export
+      [net_packets_delivered_total]. *)
+
   val packets_dropped : t -> int
+  (** Test hook: tests check drops to unknown addresses; runs export
+      [net_packets_dropped_total]. *)
 
   val packets_routed : t -> int
-  (** Packets handed to the default route so far. *)
-
-  val bytes_carried : t -> int
+  (** Packets handed to the default route so far. Test hook: the fleet tests
+      check the uplink route; runs export [net_packets_routed_total]. *)
 end
 
 module Node : sig
   type t = node
 
   val create : Sim.Engine.t -> name:string -> addr:Packet.addr -> t
-  val name : t -> string
   val addr : t -> Packet.addr
 
   val attach : t -> switch -> unit
@@ -88,8 +86,6 @@ module Node : sig
   val listen : t -> Packet.port -> (Packet.t -> unit) -> unit
   (** Install a handler for packets arriving at a local port (replaces
       any previous handler for that port). *)
-
-  val stop_listening : t -> Packet.port -> unit
 
   val add_forward :
     t -> from_port:Packet.port -> to_:Packet.endpoint -> via:switch -> unit
@@ -111,8 +107,6 @@ module Node : sig
       NAT and port handlers. The first [Drop] wins; [Rewrite] feeds the
       modified packet to the next tap. *)
 
-  val remove_tap : t -> name:string -> unit
-
   val send : t -> via:switch -> Packet.t -> unit
   (** Transmit a packet (convenience for [Switch.send]). *)
 
@@ -122,7 +116,7 @@ module Node : sig
       rewritten packet, or [None] if a tap dropped it. Used for egress
       traffic that transits a gateway without terminating there. *)
 
-  val packets_received : t -> int
   val packets_unhandled : t -> int
-  (** Arrived for a port with neither handler nor NAT rule. *)
+  (** Arrived for a port with neither handler nor NAT rule. Test hook: tests
+      check packets sent to a port nobody listens on. *)
 end

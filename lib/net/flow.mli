@@ -48,5 +48,3 @@ val run :
     sink counts [net_flow_bytes_total], [net_flow_chunk_retransmits_total]
     and [net_flow_link_downtime_ns_total], and records one ["flow"] span
     per call. *)
-
-val throughput_mbit_s : bytes:int -> elapsed:Sim.Time.t -> float

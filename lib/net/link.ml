@@ -42,7 +42,3 @@ let scale_bandwidth t factor =
     bandwidth_bytes_per_s =
       Float.max min_bandwidth_bytes_per_s (t.bandwidth_bytes_per_s *. factor);
   }
-
-let pp fmt t =
-  Format.fprintf fmt "link(lat=%a, bw=%.1fMB/s)" Sim.Time.pp t.latency
-    (t.bandwidth_bytes_per_s /. (1024. *. 1024.))

@@ -11,11 +11,13 @@ type t = {
 
 val make : latency:Sim.Time.t -> bandwidth_mbytes_per_s:float -> t
 (** Raises [Invalid_argument] on a non-positive bandwidth or negative
-    latency. *)
+    latency. Test hook: experiments use the preset links below; tests build
+    links of any shape. *)
 
 val min_bandwidth_bytes_per_s : float
 (** The floor (1 B/s) any derating clamps to; below it serialisation
-    times overflow the nanosecond clock and stop meaning anything. *)
+    times overflow the nanosecond clock and stop meaning anything.
+    Test hook: tests check that derating clamps to it. *)
 
 val loopback : t
 (** Same-host virtio/loopback path: 50 µs latency, ~2 GB/s. This is why
@@ -51,5 +53,3 @@ val scale_bandwidth : t -> float -> t
     non-positive or NaN factor; repeated derating saturates at
     {!min_bandwidth_bytes_per_s} rather than producing unbounded
     transfer times. *)
-
-val pp : Format.formatter -> t -> unit

@@ -24,10 +24,5 @@ let make ?(encrypted = false) ?size_bytes ~id ~src ~dst payload =
   { id; src; dst; size_bytes; payload; encrypted }
 
 let endpoint addr port = { addr; port }
-let pp_endpoint fmt e = Format.fprintf fmt "%s:%d" e.addr e.port
-
-let pp fmt p =
-  Format.fprintf fmt "#%d %a -> %a (%dB%s)" p.id pp_endpoint p.src pp_endpoint p.dst p.size_bytes
-    (if p.encrypted then ", encrypted" else "")
 
 let visible_payload p = if p.encrypted then "<ciphertext>" else p.payload

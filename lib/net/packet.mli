@@ -32,8 +32,6 @@ val make :
     Ethernet+IP+TCP header estimate. *)
 
 val endpoint : addr -> port -> endpoint
-val pp_endpoint : Format.formatter -> endpoint -> unit
-val pp : Format.formatter -> t -> unit
 
 val visible_payload : t -> string
 (** What an on-path observer reads: the payload, or ["<ciphertext>"] if

@@ -53,17 +53,5 @@ let run ?(until = Time.infinity) t =
 
 let run_for t d = run ~until:(Time.add t.clock d) t
 
-let advance_to t target =
-  if Time.(target < t.clock) then
-    invalid_arg "Engine.advance_to: target is in the past";
-  (match Event_queue.peek_time t.queue with
-  | Some next when Time.(next < target) ->
-    raise
-      (Simulation_deadlock
-         (Format.asprintf
-            "advance_to %a would skip a pending event at %a" Time.pp target Time.pp next))
-  | Some _ | None -> ());
-  t.clock <- target
-
 let pending_events t = Event_queue.size t.queue
 let events_processed t = t.processed

@@ -19,7 +19,9 @@ val fork_rng : t -> Rng.t
 
 val schedule_at : t -> Time.t -> (unit -> unit) -> event_handle
 (** [schedule_at t when_ f] runs [f] when the clock reaches [when_].
-    Scheduling in the past raises [Invalid_argument]. *)
+    Scheduling in the past raises [Invalid_argument]. Test hook:
+    {!schedule_after} and {!periodic} build on it; tests schedule at
+    absolute times. *)
 
 val schedule_after : t -> Time.t -> (unit -> unit) -> event_handle
 (** [schedule_after t delay f] is [schedule_at t (now t + delay)]. *)
@@ -41,12 +43,9 @@ val step : t -> bool
 val run_for : t -> Time.t -> Time.t
 (** [run_for t d] is [run ~until:(now t + d) t]. *)
 
-val advance_to : t -> Time.t -> unit
-(** Jump the clock forward without processing events; only valid when no
-    pending event is earlier than the target (raises otherwise). Used by
-    sequential cost-model code that accrues time without scheduling. *)
-
 val pending_events : t -> int
+(** Test hook: tests check how many events a send or a burst
+    scheduled. *)
 
 exception Simulation_deadlock of string
 

@@ -14,7 +14,8 @@
     state. *)
 
 val available_cores : unit -> int
-(** The runtime's recommended domain count for this machine. *)
+(** The runtime's recommended domain count for this machine. Test hook:
+    [jobs = 0] resolves to it; tests check that it is positive. *)
 
 val map : ?jobs:int -> int -> (int -> 'a) -> 'a list
 (** [map ~jobs n f] is [List.init n f], computed by up to [jobs] worker

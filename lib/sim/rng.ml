@@ -17,8 +17,6 @@ let split t =
   let s = int64 t in
   { state = mix s }
 
-let copy t = { state = t.state }
-
 (* Top 53 bits -> float in [0, 1). *)
 let unit_float t =
   let bits = Int64.shift_right_logical (int64 t) 11 in
@@ -32,7 +30,6 @@ let int t bound =
 
 let float t bound = unit_float t *. bound
 let bool t = Int64.logand (int64 t) 1L = 1L
-let uniform t lo hi = lo +. (unit_float t *. (hi -. lo))
 
 let exponential t mean =
   let u = Float.max 1e-12 (unit_float t) in
@@ -56,11 +53,3 @@ let lognormal_noise t ~rsd =
 let pick t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -15,8 +15,6 @@ val split : t -> t
     give each simulated component its own stream so that adding draws in
     one component does not perturb another. *)
 
-val copy : t -> t
-
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -28,9 +26,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val uniform : t -> float -> float -> float
-(** [uniform t lo hi] is uniform in [\[lo, hi)]. *)
-
 val exponential : t -> float -> float
 (** [exponential t mean] draws from Exp with the given mean. *)
 
@@ -41,6 +36,3 @@ val lognormal_noise : t -> rsd:float -> float
 
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -376,10 +376,5 @@ let summary (t : t) : summary =
     p99 = percentile t 99.;
   }
 
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.4g stddev=%.4g rsd=%.2f%% min=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g"
-    s.n s.mean s.stddev (s.rsd *. 100.) s.min s.p50 s.p95 s.p99 s.max
-
 let percent_change ~from_ ~to_ =
   if Float.equal from_ 0. then Float.nan else (to_ -. from_) /. from_ *. 100.

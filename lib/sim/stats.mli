@@ -4,8 +4,8 @@
     paper reports them: mean, standard deviation, and relative standard
     deviation (the error bars in Figs 2-4). Accumulators keep exact
     samples up to a cap and spill into a mergeable quantile sketch past
-    it, so streaming consumers (telemetry summaries, the SOC monitor)
-    stay allocation-bounded. *)
+    it, so streaming consumers (telemetry summaries, the fleet's and the
+    [slo] experiment's time-to-detect samples) stay allocation-bounded. *)
 
 module Sketch : sig
   (** Mergeable quantile sketch: a merging t-digest with the uniform
@@ -41,10 +41,14 @@ module Sketch : sig
   val count : t -> int
   val sum : t -> float
   val min : t -> float
+  (** Test hook: tests check that quantile 0 is exact. *)
+
   val max : t -> float
+  (** Test hook: tests check that quantile 1 is exact. *)
 
   val centroids : t -> int
-  (** Live centroid count after flushing the insert buffer. *)
+  (** Live centroid count after flushing the insert buffer. Test hook: tests
+      check that storage stays bounded and merges agree. *)
 
   val copy : t -> t
 end
@@ -66,19 +70,30 @@ val add_time : t -> Time.t -> unit
 
 val count : t -> int
 val mean : t -> float
-(** Mean of the samples; [nan] if empty. *)
+(** Mean of the samples; [nan] if empty. Test hook: production reads it
+    through {!summary}; tests check it directly. *)
 
 val stddev : t -> float
 (** Square root of the unbiased sample variance; [0.] with fewer than
-    two samples. *)
+    two samples. Test hook: production reads it through {!summary}; tests
+    check it directly. *)
 
 val rsd : t -> float
 (** Relative standard deviation as a fraction of the mean (multiply by 100
-    for percent); [0.] if the mean is zero or fewer than two samples. *)
+    for percent); [0.] if the mean is zero or fewer than two samples.
+    Test hook: production reads it through {!summary}; tests check it
+    directly. *)
 
 val min : t -> float
+(** Test hook: production reads it through {!summary}; tests check it
+    directly. *)
+
 val max : t -> float
+(** Test hook: production reads it through {!summary}; tests check it
+    directly. *)
+
 val sum : t -> float
+(** Test hook: tests check that it stays exact past the sample cap. *)
 
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [0,100]: linear interpolation over the
@@ -87,7 +102,8 @@ val percentile : t -> float -> float
 
 val samples : t -> float list
 (** Samples in insertion order; [[]] once the accumulator has spilled
-    into its sketch (see {!is_sketched}). *)
+    into its sketch (see {!is_sketched}). Test hook: tests check the
+    retained samples and the spill into the sketch. *)
 
 val is_sketched : t -> bool
 (** True once the sample cap has been exceeded and percentiles are
@@ -117,8 +133,6 @@ type summary = {
 val summary : t -> summary
 (** Snapshot of the accumulator, including interpolated p50/p95/p99 (all
     [nan] when empty, like [mean]). *)
-
-val pp_summary : Format.formatter -> summary -> unit
 
 val percent_change : from_:float -> to_:float -> float
 (** [percent_change ~from_ ~to_] is [(to_ - from_) / from_ * 100.], the

@@ -235,15 +235,6 @@ let span sink ~component ~name ~start ~stop ?(fields = []) () =
   | None -> ()
   | Some t -> push_span t { component; name; start; stop; fields }
 
-let with_span sink ~now ~component ~name ?(fields = []) f =
-  match sink with
-  | None -> f ()
-  | Some _ ->
-    let start = now () in
-    let r = f () in
-    span sink ~component ~name ~start ~stop:(now ()) ~fields ();
-    r
-
 let series_count t = Hashtbl.length t.series
 let spans_recorded t = Queue.length t.spans
 let spans_dropped t = t.spans_dropped

@@ -104,34 +104,37 @@ val span :
     in the given order; values computed from floats must be rendered
     deterministically by the caller (e.g. [Printf.sprintf "%.0f"]). *)
 
-val with_span :
-  t option -> now:(unit -> Time.t) -> component:string -> name:string ->
-  ?fields:labels -> (unit -> 'a) -> 'a
-(** [with_span sink ~now ~component ~name f] runs [f ()], recording a
-    span from the sim-time before to the sim-time after. With a [None]
-    sink this is exactly [f ()]. If [f] raises, no span is recorded. *)
-
 (** {1 Introspection} *)
 
 val series_count : t -> int
+(** Test hook: tests check registration and merges without parsing an
+    export. *)
+
 val spans_recorded : t -> int
+(** Test hook: tests check the span buffer's bound. *)
+
 val spans_dropped : t -> int
+(** Test hook: tests check the span buffer's bound. *)
 
 val value : t -> string -> float option
 (** [value t key] is the current value of the counter or gauge whose
     rendered series name is [key] (e.g. ["vmm_exits_total{level=\"1\"}"]);
-    [None] for histograms or absent series. *)
+    [None] for histograms or absent series. Test hook: tests read counters
+    and gauges without parsing an export. *)
 
 val histogram_count : t -> string -> int option
-(** Total observation count of the histogram registered under [key]. *)
+(** Total observation count of the histogram registered under [key].
+    Test hook: tests read histograms without parsing an export. *)
 
 val summary_count : t -> string -> int option
-(** Observation count of the summary registered under [key]. *)
+(** Observation count of the summary registered under [key]. Test hook:
+    tests read summaries without parsing an export. *)
 
 val summary_quantile : t -> string -> float -> float option
 (** [summary_quantile t key q] is the sketch's estimate for [q] in
     [0,1]; [None] for absent or non-summary series, [nan] when the
-    summary is empty. *)
+    summary is empty. Test hook: tests read summaries without parsing an
+    export. *)
 
 val fold_series : t -> init:'a -> f:('a -> string -> float -> 'a) -> 'a
 (** Fold over every registered series in export (sorted-key) order:

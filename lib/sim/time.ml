@@ -8,7 +8,6 @@ let ms x = of_float_ns (x *. 1e6)
 let s x = of_float_ns (x *. 1e9)
 let minutes x = s (x *. 60.)
 let add = Int64.add
-let sub = Int64.sub
 let diff later earlier = Int64.sub later earlier
 let mul d k = of_float_ns (Int64.to_float d *. k)
 let max a b = if Int64.compare a b >= 0 then a else b

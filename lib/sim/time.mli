@@ -25,7 +25,6 @@ val s : float -> t
 val minutes : float -> t
 
 val add : t -> t -> t
-val sub : t -> t -> t
 val diff : t -> t -> t
 (** [diff later earlier] is [later - earlier]. *)
 
@@ -36,6 +35,8 @@ val max : t -> t -> t
 val min : t -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
+(** Test hook: tests compare durations with it. *)
+
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
@@ -43,7 +44,11 @@ val ( > ) : t -> t -> bool
 
 val to_ns : t -> int64
 val to_us : t -> float
+(** Test hook: tests state expected durations in microseconds. *)
+
 val to_ms : t -> float
+(** Test hook: tests state expected durations in milliseconds. *)
+
 val to_s : t -> float
 
 val infinity : t

@@ -10,50 +10,18 @@ type record = {
 type t = {
   buffer : record Queue.t;
   capacity : int;
-  mutable dropped_count : int;
 }
 
-let create ?(capacity = 65536) () =
-  { buffer = Queue.create (); capacity; dropped_count = 0 }
+let create ?(capacity = 65536) () = { buffer = Queue.create (); capacity }
 
 let emit t time level ~component message =
   Queue.push { time; level; component; message } t.buffer;
-  if Queue.length t.buffer > t.capacity then begin
-    ignore (Queue.pop t.buffer);
-    t.dropped_count <- t.dropped_count + 1
-  end
+  if Queue.length t.buffer > t.capacity then ignore (Queue.pop t.buffer)
 
 let emitf t time level ~component fmt =
   Format.kasprintf (fun message -> emit t time level ~component message) fmt
 
 let records t = List.of_seq (Queue.to_seq t.buffer)
-
-(* Queries stream over the queue directly: no intermediate list, and
-   [contains] short-circuits on the first hit. *)
-let find t ~component =
-  List.of_seq (Seq.filter (fun r -> String.equal r.component component) (Queue.to_seq t.buffer))
-
-let contains_substring s sub =
-  let n = String.length s and m = String.length sub in
-  if m = 0 then true
-  else begin
-    (* char-by-char comparison: no [String.sub] allocation per position *)
-    let rec matches i j = j >= m || (s.[i + j] = sub.[j] && matches i (j + 1)) in
-    let rec scan i = i + m <= n && (matches i 0 || scan (i + 1)) in
-    scan 0
-  end
-
-let contains t ~component ~substring =
-  Seq.exists
-    (fun r -> String.equal r.component component && contains_substring r.message substring)
-    (Queue.to_seq t.buffer)
-
-let count t = Queue.length t.buffer
-let dropped t = t.dropped_count
-
-let clear t =
-  Queue.clear t.buffer;
-  t.dropped_count <- 0
 
 let level_to_string = function
   | Debug -> "debug"

@@ -32,7 +32,6 @@ let op ?sw_exits ?hw_faults_l2 ?residual_l1 ?residual_l2 ~name ~cpu () =
     ~cpu_ns:(Int64.to_float (Sim.Time.to_ns cpu))
     ()
 
-let pure_cpu ~name ~cpu = op ~name ~cpu ()
 let pure_cpu_ns ~name ~ns = op_ns ~name ~cpu_ns:ns ()
 
 let pow base n =
@@ -54,17 +53,8 @@ let cost_ns ?(params = default_params) ~level o =
     in
     cpu_part +. exit_part +. fault_part
 
-let cost ?params ~level o = Sim.Time.ns (int_of_float (Float.round (cost_ns ?params ~level o)))
-
 let cost_n ?params ~level o n =
   Sim.Time.ns (int_of_float (Float.round (cost_ns ?params ~level o *. float_of_int n)))
-
-let noisy_cost ?params ~rng ~rsd ~level o =
-  Sim.Time.mul (cost ?params ~level o) (Sim.Rng.lognormal_noise rng ~rsd)
-
-let overhead_vs ?params ~level ~baseline o =
-  let c_at l = cost_ns ?params ~level:l o in
-  Sim.Stats.percent_change ~from_:(c_at baseline) ~to_:(c_at level)
 
 let calibrate_hw_faults ?(params = default_params) ~name ~l0 ~l1 ~l2 () =
   let ns t = Int64.to_float (Sim.Time.to_ns t) in

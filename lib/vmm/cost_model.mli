@@ -63,25 +63,9 @@ val op :
   unit ->
   op
 
-val op_ns :
-  ?sw_exits:float ->
-  ?hw_faults_l2:float ->
-  ?residual_l1:float ->
-  ?residual_l2:float ->
-  name:string ->
-  cpu_ns:float ->
-  unit ->
-  op
-(** [op] with the CPU cost given directly in (possibly fractional)
-    nanoseconds. *)
-
-val pure_cpu : name:string -> cpu:Sim.Time.t -> op
-(** An operation with no virtualization cost beyond the CPU derate. *)
-
 val pure_cpu_ns : name:string -> ns:float -> op
-
-val cost : ?params:params -> level:Level.t -> op -> Sim.Time.t
-(** Modelled cost of one operation at the given level. *)
+(** An operation of [ns] nanoseconds of CPU work and no virtualization
+    cost beyond the CPU derate. *)
 
 val cost_ns : ?params:params -> level:Level.t -> op -> float
 (** Unrounded cost in nanoseconds - needed for sub-nanosecond ops
@@ -89,13 +73,6 @@ val cost_ns : ?params:params -> level:Level.t -> op -> float
 
 val cost_n : ?params:params -> level:Level.t -> op -> int -> Sim.Time.t
 (** Cost of [n] consecutive operations. *)
-
-val noisy_cost :
-  ?params:params -> rng:Sim.Rng.t -> rsd:float -> level:Level.t -> op -> Sim.Time.t
-(** [cost] with multiplicative lognormal jitter. *)
-
-val overhead_vs : ?params:params -> level:Level.t -> baseline:Level.t -> op -> float
-(** Percent cost increase of the op at [level] relative to [baseline]. *)
 
 val calibrate_hw_faults :
   ?params:params ->

@@ -28,8 +28,6 @@ let create ~name ~format ~virtual_size_gb =
   in
   { name; format; virtual_size_bytes; allocated_clusters }
 
-let name t = t.name
-let format t = t.format
 let virtual_size_bytes t = t.virtual_size_bytes
 
 let max_clusters t = (t.virtual_size_bytes + cluster_bytes - 1) / cluster_bytes

@@ -9,7 +9,6 @@
 
 type format = Qcow2 | Raw
 
-val format_to_string : format -> string
 val format_of_string : string -> (format, string) result
 
 type t
@@ -18,9 +17,8 @@ val create : name:string -> format:format -> virtual_size_gb:float -> t
 (** A fresh image. [Raw] images are fully allocated from the start;
     [Qcow2] images start at a small metadata footprint. *)
 
-val name : t -> string
-val format : t -> format
 val virtual_size_bytes : t -> int
+(** Test hook: tests check qcow2 allocation against it. *)
 
 val allocated_bytes : t -> int
 (** Bytes backed by clusters on the host filesystem. *)
@@ -31,7 +29,8 @@ val guest_write : t -> bytes:int -> unit
     virtual size. *)
 
 val cluster_bytes : int
-(** 64 KiB, qcow2's default. *)
+(** 64 KiB, qcow2's default. Test hook: tests check that qcow2 allocates
+    whole clusters. *)
 
 val qemu_img_info : t -> string
 (** The [qemu-img info] rendering the attacker reads. *)

@@ -118,10 +118,6 @@ let create_nested ?(use_vtx = true) ctx ~vm ~name =
           next_vm_index = 1;
         }
 
-let name t = t.hv_name
-let uses_vtx t = t.use_vtx
-let level t = t.level
-let engine t = t.engine
 let processes t = t.processes
 let switch t = t.switch
 let uplink t = t.uplink
@@ -131,13 +127,6 @@ let frame_table t = match t.backing with Physical ft -> Some ft | Guest _ -> Non
 let telemetry t = t.telemetry
 let vms t = t.vm_list
 let find_vm t vm_name = List.find_opt (fun vm -> String.equal (Vm.name vm) vm_name) t.vm_list
-
-let ram_free_pages t =
-  match t.backing with
-  | Physical _ ->
-    (* capacity is enforced lazily by the frame table on allocation *)
-    max_int
-  | Guest g -> g.ceiling - g.floor
 
 let alloc_ram t ~vm_name ~pages =
   match t.backing with

@@ -41,16 +41,8 @@ val create_nested : ?use_vtx:bool -> Sim.Ctx.t -> vm:Vm.t -> name:string -> (t, 
     [false] models a software-emulating nested hypervisor - slower, but
     invisible to VMCS memory forensics (paper Section VI-E). *)
 
-val uses_vtx : t -> bool
-
 (** {2 Accessors} *)
 
-val name : t -> string
-val level : t -> Level.t
-(** Level of the hypervisor itself (0 for bare metal). Guests run at
-    [level + 1]. *)
-
-val engine : t -> Sim.Engine.t
 val processes : t -> Process_table.t
 val switch : t -> Net.Fabric.switch
 
@@ -70,7 +62,6 @@ val telemetry : t -> Sim.Telemetry.t option
 
 val vms : t -> Vm.t list
 val find_vm : t -> string -> Vm.t option
-val ram_free_pages : t -> int
 
 (** {2 VM lifecycle} *)
 
@@ -91,6 +82,7 @@ val kill_vm : t -> Vm.t -> unit
     creates (or reopens) the image its config names. *)
 
 val image : t -> string -> Disk_image.t option
+(** Test hook: tests check that the host stores a VM's own disk image. *)
 
 val qemu_img_info : t -> string -> (string, string) result
 (** What running [qemu-img info <file>] on this host prints - part of

@@ -26,11 +26,13 @@ val bare_metal : ?ksm_config:Memory.Ksm.config -> ?workspace_mb:int -> Sim.Ctx.t
 (** L0: a host with a [workspace_mb] (default 1024) buffer the measured
     code runs in. In all constructors here, the context is the
     topology's instrumentation root (threaded into the uplink switch and
-    every hypervisor). *)
+    every hypervisor). Test hook: experiments reach it through {!of_level};
+    tests build the level directly. *)
 
 val single_guest : ?ksm_config:Memory.Ksm.config -> ?config:Qemu_config.t -> Sim.Ctx.t -> env
 (** L1: a host plus one running guest (default config: the paper's 1 GB
-    VM, SSH forwarded from host port 2222). *)
+    VM, SSH forwarded from host port 2222). Test hook: experiments reach it
+    through {!of_level}; tests build the level directly. *)
 
 val nested_guest :
   ?ksm_config:Memory.Ksm.config ->
@@ -40,7 +42,8 @@ val nested_guest :
   env
 (** L2: a host, a [guestx_memory_mb] (default 2048) L1 VM with nested
     VMX, a hypervisor inside it, and a nested guest (default: the same
-    1 GB config as {!single_guest}) running at L2. *)
+    1 GB config as {!single_guest}) running at L2. Test hook: experiments
+    reach it through {!of_level}; tests build the level directly. *)
 
 val of_level : ?ksm_config:Memory.Ksm.config -> Sim.Ctx.t -> Level.t -> env
 (** Dispatch on 0, 1 or 2; raises [Invalid_argument] on deeper levels. *)

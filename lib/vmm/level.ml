@@ -4,7 +4,6 @@ let l0 = 0
 let l1 = 1
 let l2 = 2
 let deeper t = t + 1
-let is_virtualized t = t >= 1
 let is_nested t = t >= 2
 
 let of_int n =
@@ -13,6 +12,5 @@ let of_int n =
 
 let to_int t = t
 let equal = Int.equal
-let compare = Int.compare
 let pp fmt t = Format.fprintf fmt "L%d" t
 let to_string t = "L" ^ string_of_int t

@@ -12,17 +12,14 @@ val l2 : t
 val deeper : t -> t
 (** The level of a guest hosted at this level. *)
 
-val is_virtualized : t -> bool
-(** True for L1 and deeper. *)
-
 val is_nested : t -> bool
 (** True for L2 and deeper. *)
 
 val of_int : int -> t
-(** Raises [Invalid_argument] on negative depth. *)
+(** Raises [Invalid_argument] on negative depth. Test hook: tests build
+    levels deeper than L2 and check that a negative depth is rejected. *)
 
 val to_int : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

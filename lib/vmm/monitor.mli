@@ -34,3 +34,4 @@ val banner : Vm.t -> string
 (** The greeting a telnet connection to the monitor port prints. *)
 
 val help_text : string
+(** Test hook: tests check that every command it lists parses. *)

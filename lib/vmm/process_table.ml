@@ -43,9 +43,6 @@ let all t =
   Hashtbl.fold (fun _ p acc -> p :: acc) t.procs []
   |> List.sort (fun a b -> Int.compare a.pid b.pid)
 
-let by_name t name = List.filter (fun p -> String.equal p.name name) (all t)
-let count t = Hashtbl.length t.procs
-
 let reassign_pid t ~old_pid ~new_pid =
   match find t old_pid with
   | None -> Error (Printf.sprintf "no process with pid %d" old_pid)

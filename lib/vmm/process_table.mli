@@ -26,12 +26,14 @@ val kill : t -> pid -> bool
 (** [false] if no such process. *)
 
 val find : t -> pid -> proc option
+(** Test hook: tests check a process's name and command line. *)
+
 val exists : t -> pid -> bool
-val by_name : t -> string -> proc list
+(** Test hook: tests check which processes launches, kills and installs
+    leave. *)
+
 val all : t -> proc list
 (** Sorted by PID. *)
-
-val count : t -> int
 
 val reassign_pid : t -> old_pid:pid -> new_pid:pid -> (unit, string) result
 (** Give a live process a different PID - the attacker's trick of
@@ -40,6 +42,7 @@ val reassign_pid : t -> old_pid:pid -> new_pid:pid -> (unit, string) result
     taken. *)
 
 val ps_ef : t -> string
-(** Rendered listing, one process per line: what the attacker greps. *)
+(** Rendered listing, one process per line: what the attacker greps.
+    Test hook: tests check the listing and its determinism. *)
 
 val grep_cmdline : t -> substring:string -> proc list

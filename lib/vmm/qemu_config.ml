@@ -45,7 +45,6 @@ let with_incoming t ~port = { t with incoming = Some port }
 let with_hostfwd t rules = { t with netdev = { t.netdev with hostfwd = rules } }
 let with_nested_vmx t b = { t with nested_vmx = b }
 let with_name t name = { t with vm_name = name }
-let with_monitor_port t port = { t with monitor_port = port }
 let memory_pages t = t.memory_mb * 1024 * 1024 / Memory.Page.size_bytes
 
 let hostfwd_to_string rules =
@@ -225,8 +224,6 @@ let migration_compatible ~source ~dest =
     |> check (source.netdev.model = dest.netdev.model) "NIC model differs"
   in
   match problems with [] -> Ok () | ps -> Error (String.concat "; " (List.rev ps))
-
-let equal_devices a b = Result.is_ok (migration_compatible ~source:a ~dest:b)
 
 let pp fmt t =
   Format.fprintf fmt "%s: %dMB, %d vCPU, %s disk %.0fG, nic %s%s" t.vm_name t.memory_mb t.vcpus

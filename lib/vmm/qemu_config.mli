@@ -43,7 +43,6 @@ val with_incoming : t -> port:int -> t
 val with_hostfwd : t -> (int * int) list -> t
 val with_nested_vmx : t -> bool -> t
 val with_name : t -> string -> t
-val with_monitor_port : t -> int -> t
 
 val memory_pages : t -> int
 
@@ -60,5 +59,4 @@ val migration_compatible : source:t -> dest:t -> (unit, string) result
     size/format and NIC model must match; names, forwarding rules,
     monitor ports and the incoming flag may differ. *)
 
-val equal_devices : t -> t -> bool
 val pp : Format.formatter -> t -> unit

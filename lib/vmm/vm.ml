@@ -23,7 +23,7 @@ type io_counters = {
 
 type t = {
   engine : Sim.Engine.t;
-  mutable config : Qemu_config.t;
+  config : Qemu_config.t;
   level : Level.t;
   ram : Memory.Address_space.t;
   disk : Disk_image.t;
@@ -112,7 +112,6 @@ let emit t fmt =
 let name t = t.config.Qemu_config.vm_name
 let engine t = t.engine
 let config t = t.config
-let set_config t c = t.config <- c
 let level t = t.level
 let ram t = t.ram
 let disk t = t.disk
@@ -207,14 +206,6 @@ let adopt_guest_state t ~from =
   t.next_file_page <- from.next_file_page
 let unload_file t fname = Hashtbl.remove t.loaded_files fname
 
-let touch_pages t rng ~count =
-  let pages = Memory.Address_space.pages t.ram in
-  for _ = 1 to count do
-    let i = Sim.Rng.int rng pages in
-    let c = Memory.Address_space.read t.ram i in
-    ignore (Memory.Address_space.write t.ram i (Memory.Page.Content.mutate c ~salt:i))
-  done
-
 let cpu_throttle t = t.cpu_throttle
 let set_cpu_throttle t x = t.cpu_throttle <- Float.max 0. (Float.min 0.99 x)
 let guest_time_scale t = t.guest_time_scale
@@ -247,7 +238,3 @@ let recover_handler t = t.recover_handler
 
 let set_migration_stats t s = t.migration_stats <- Some s
 let migration_stats t = t.migration_stats
-
-let pp fmt t =
-  Format.fprintf fmt "%s[%a,%s,pid=%d]" (name t) Level.pp t.level (state_to_string t.state)
-    t.qemu_pid

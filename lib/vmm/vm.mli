@@ -45,7 +45,6 @@ val make :
 val name : t -> string
 val engine : t -> Sim.Engine.t
 val config : t -> Qemu_config.t
-val set_config : t -> Qemu_config.t -> unit
 val level : t -> Level.t
 (** The level the guest's code runs at (1 for a host VM, 2 nested). *)
 
@@ -106,7 +105,8 @@ val reboot_guest : t -> (unit, string) result
     hence the VM's position in any nesting) is untouched, guest memory
     is wiped to zero, and a fresh process table comes up. This is why
     CloudSkulk "will still survive" a victim reboot (paper Section
-    VII-A): rebooting L2 never escapes GuestX. *)
+    VII-A): rebooting L2 never escapes GuestX. Test hook: tests check that
+    the RITM survives a victim reboot. *)
 
 val is_alive : t -> bool
 
@@ -137,10 +137,6 @@ val adopt_guest_state : t -> from:t -> unit
     table, loaded-file map. Called by migration when the destination
     becomes the running instance of the source's OS. *)
 
-val touch_pages : t -> Sim.Rng.t -> count:int -> unit
-(** Dirty [count] randomly chosen RAM pages - the write side of a
-    running workload. *)
-
 (** {2 CPU throttling}
 
     QEMU's auto-converge forces a stubborn pre-copy migration to finish
@@ -169,7 +165,8 @@ val set_guest_time_scale : t -> float -> unit
 
 val observe_duration : t -> Sim.Time.t -> Sim.Time.t
 (** [observe_duration vm d] is what a timing loop inside the guest
-    reads when [d] of real (L0) time passes. *)
+    reads when [d] of real (L0) time passes. Test hook: tests check the
+    scaling that {!set_guest_time_scale} sets. *)
 
 val spoofs_benchmarks : t -> bool
 val set_spoofs_benchmarks : t -> bool -> unit
@@ -210,6 +207,8 @@ val request_migrate_cancel : t -> unit
     event scheduled mid-migration. *)
 
 val migrate_cancel_requested : t -> bool
+(** Test hook: tests check the flag that {!request_migrate_cancel} raises.
+    *)
 
 val take_migrate_cancel : t -> bool
 (** Read and clear the cancel request (the migration driver's side). *)
@@ -226,5 +225,3 @@ val set_migration_stats : t -> string -> unit
     (outcome, rounds, fault counters); shown by [info migrate]. *)
 
 val migration_stats : t -> string option
-
-val pp : Format.formatter -> t -> unit

@@ -8,14 +8,12 @@
     their host's memory - and that software-emulated nesting does not,
     which is exactly the evasion the paper points out. *)
 
-val revision_id : int
-(** The VMCS revision identifier of the modelled CPU. *)
-
 val signature_content : slot:int -> Memory.Page.Content.t
 (** Content of the VMCS page for a given VM slot. *)
 
 val is_signature : Memory.Page.Content.t -> bool
-(** Does this page content look like a VMCS? *)
+(** Does this page content look like a VMCS? Test hook: {!scan} applies it
+    to every page; tests check single pages. *)
 
 val scan : Memory.Address_space.t -> int list
 (** Page indices within a space whose contents match a VMCS. *)

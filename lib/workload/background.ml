@@ -5,14 +5,13 @@ type spec = {
 }
 
 type handle = {
-  spec : spec;
   mutable running : bool;
   mutable tick_count : int;
   mutable throttled_ticks : int;
 }
 
 let start env spec =
-  let handle = { spec; running = true; tick_count = 0; throttled_ticks = 0 } in
+  let handle = { running = true; tick_count = 0; throttled_ticks = 0 } in
   let rng = Sim.Rng.split env.Exec_env.rng in
   Sim.Engine.periodic env.Exec_env.engine ~every:spec.tick (fun () ->
       if handle.running then begin
@@ -38,7 +37,5 @@ let start env spec =
   handle
 
 let stop h = h.running <- false
-let is_running h = h.running
 let ticks h = h.tick_count
 let throttled_ticks h = h.throttled_ticks
-let name h = h.spec.name

@@ -18,12 +18,9 @@ val start : Exec_env.t -> spec -> handle
 (** Begin ticking on the env's engine. *)
 
 val stop : handle -> unit
-val is_running : handle -> bool
 
 val ticks : handle -> int
 (** Ticks whose work actually ran. *)
 
 val throttled_ticks : handle -> int
 (** Ticks lost to the VM's {!Vmm.Vm.cpu_throttle} (auto-converge). *)
-
-val name : handle -> string

@@ -35,9 +35,6 @@ val consume : t -> Vmm.Cost_model.op -> int -> Sim.Time.t
     advance the engine by the total, account CPU time and exits to the
     VM, and return the elapsed time. *)
 
-val charge_exits : t -> int -> unit
-(** Bump the VM's exit counter (no time cost). *)
-
 val dirty_random : t -> int -> unit
 (** Dirty [n] uniformly random RAM pages. *)
 

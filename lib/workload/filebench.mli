@@ -11,17 +11,4 @@ type config = {
   dirty_pages_per_second : float;  (** unique page dirty rate (default 2000) *)
 }
 
-val default_config : config
-
-type result = {
-  ops_done : int;
-  elapsed : Sim.Time.t;
-  ops_per_second : float;
-}
-
-val run : ?config:config -> ?ops:int -> Exec_env.t -> result
-(** Execute [ops] (default 100 000) filebench operations, pricing each
-    through the cost model (creates/deletes from the lmbench fs
-    calibration). *)
-
 val background : ?config:config -> unit -> Background.spec

@@ -20,8 +20,6 @@ type config = {
   dirty_pages_per_unit : int;  (** object/page-cache pages written (default 8) *)
 }
 
-val default_config : config
-
 val run : ?ccache_at_l0:bool -> ?config:config -> Exec_env.t -> Sim.Time.t
 (** Execute the full compile on the environment's clock and return its
     duration - the Fig 2 measurement. [ccache_at_l0] (default true)

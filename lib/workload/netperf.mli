@@ -14,8 +14,6 @@ type config = {
   transfer_bytes : int;  (** bytes per run (default 128 MiB) *)
 }
 
-val default_config : config
-
 type result = {
   throughput_mbit_s : float;
   elapsed : Sim.Time.t;

@@ -242,8 +242,9 @@ let covert_props =
            | Error _ -> false));
   ]
 
-(* The detector service: tenant registration, verdict flips, rotation
-   policy and the audit-triggered escalation path. *)
+(* The detector service: tenant registration, verdict flips, probe
+   failures and the audit-triggered escalation path, driven by the
+   continuous monitor on the engine clock. *)
 let service_tests =
   let open Cloudskulk.Detector_service in
   let make_world_with_service ?(policy = default_policy) () =
@@ -294,11 +295,22 @@ let service_tests =
     register_tenant service ~name:"guest0" ~env;
     (ctx, host, registry, service, vm_ref, ritm_ref)
   in
+  (* audits every 5 min; each tenant probes every 10 min (+/- jitter) *)
+  let quick = { default_policy with sweep_every = Sim.Time.minutes 5.; dedup_every_n_sweeps = 2 } in
+  let run ctx d = ignore (Sim.Engine.run_for (Sim.Ctx.engine ctx) d) in
+  (* every tenant's first probe falls inside one rotation interval *)
+  let first_rotation = Sim.Time.minutes 10. in
   [
-    Alcotest.test_case "first sweep probes and records a clean verdict" `Quick (fun () ->
-        let _, _, _, service, _, _ = make_world_with_service () in
-        let evs = sweep_now service in
-        Alcotest.(check int) "one flip event (None -> clean)" 1 (List.length evs);
+    Alcotest.test_case "first probe records a clean verdict" `Quick (fun () ->
+        let ctx, _, _, service, _, _ = make_world_with_service ~policy:quick () in
+        start_monitor service;
+        run ctx first_rotation;
+        (match events service with
+        | [ Verdict_flip { before = None; after = Cloudskulk.Dedup_detector.No_nested_vm; _ } ]
+          -> ()
+        | evs ->
+          Alcotest.failf "expected one None -> clean flip, got [%s]"
+            (String.concat "; " (List.map event_to_string evs)));
         (match tenant_state service "guest0" with
         | Some st ->
           Alcotest.(check bool) "clean" true
@@ -306,26 +318,19 @@ let service_tests =
         | None -> Alcotest.fail "tenant missing");
         Alcotest.(check (list string)) "no compromised tenants" []
           (compromised_tenants service));
-    Alcotest.test_case "rotation policy skips then re-probes" `Quick (fun () ->
-        let policy = { default_policy with dedup_every_n_sweeps = 3 } in
-        let _, _, _, service, _, _ = make_world_with_service ~policy () in
-        ignore (sweep_now service);
-        (* sweeps 2 and 3 should skip the dedup probe (no alarm, not due) *)
-        Alcotest.(check (list string)) "sweep 2 quiet" []
-          (List.map event_to_string (sweep_now service));
-        Alcotest.(check (list string)) "sweep 3 quiet" []
-          (List.map event_to_string (sweep_now service));
-        (* sweep 4: rotation due; same verdict, so still no flip event *)
-        ignore (sweep_now service);
-        match tenant_state service "guest0" with
-        | Some st -> Alcotest.(check int) "probe just ran" 0 st.sweeps_since_dedup
-        | None -> Alcotest.fail "tenant missing");
     Alcotest.test_case "an attack flips the verdict and raises events" `Quick (fun () ->
+        (* probes rotate every 80 min, so the next audit, not a probe,
+           is the first to see the install *)
+        let policy = { quick with dedup_every_n_sweeps = 16 } in
         let ctx, host, registry, service, vm_ref, ritm_ref =
-          make_world_with_service ()
+          make_world_with_service ~policy ()
         in
-        ignore (sweep_now service);
-        (* attack happens between sweeps *)
+        start_monitor service;
+        pull_probes_forward service;
+        run ctx (Sim.Time.minutes 1.);
+        Alcotest.(check int) "clean probe ran" 1
+          (match tenant_state service "guest0" with Some st -> st.probes | None -> 0);
+        (* attack happens between probes *)
         let report =
           match Cloudskulk.Install.run ctx ~host ~registry ~target_name:"guest0" with
           | Ok r -> r
@@ -333,7 +338,8 @@ let service_tests =
         in
         vm_ref := report.Cloudskulk.Install.ritm.Cloudskulk.Ritm.victim;
         ritm_ref := Some report.Cloudskulk.Install.ritm;
-        let evs = sweep_now service in
+        run ctx policy.sweep_every;
+        let evs = events service in
         Alcotest.(check bool) "audit alarm raised" true
           (List.exists (function Audit_alarm _ -> true | _ -> false) evs);
         Alcotest.(check bool) "verdict flip raised" true
@@ -346,37 +352,19 @@ let service_tests =
         Alcotest.(check (list string)) "tenant listed as compromised" [ "guest0" ]
           (compromised_tenants service));
     Alcotest.test_case "probe failure is an event, not a crash" `Quick (fun () ->
-        let ctx, _, _, _, _, _ = make_world_with_service () in
-        let _, _, host2, _ = mk_world () in
-        let service = create ctx host2 in
+        let ctx, _, host, _ = mk_world () in
+        let service = create ~policy:quick ctx host in
         register_tenant service ~name:"ghost" ~env:(fun () ->
             {
               Cloudskulk.Dedup_detector.ctx;
-              host = host2;
+              host;
               deliver_to_guest = (fun _ -> Error "agent unreachable");
               mutate_in_guest = (fun ~name:_ ~salt:_ -> Ok ());
             });
-        let evs = sweep_now service in
+        start_monitor service;
+        run ctx first_rotation;
         Alcotest.(check bool) "probe_failed event" true
-          (List.exists (function Probe_failed _ -> true | _ -> false) evs));
-    Alcotest.test_case "periodic mode sweeps on its own" `Quick (fun () ->
-        let ctx, _, _, service, _, _ =
-          make_world_with_service
-            ~policy:{ default_policy with sweep_every = Sim.Time.minutes 5. }
-            ()
-        in
-        start service;
-        ignore (Sim.Engine.run_for (Sim.Ctx.engine ctx) (Sim.Time.minutes 16.));
-        stop service;
-        Alcotest.(check bool) "at least 3 sweeps" true (sweeps_run service >= 3));
-    Alcotest.test_case "unregister stops probing a tenant" `Quick (fun () ->
-        let _, _, _, service, _, _ = make_world_with_service () in
-        ignore (sweep_now service);
-        unregister_tenant service ~name:"guest0";
-        Alcotest.(check (option reject)) "state gone" None
-          (Option.map ignore (tenant_state service "guest0"));
-        Alcotest.(check (list string)) "sweep does nothing" []
-          (List.map event_to_string (sweep_now service)));
+          (List.exists (function Probe_failed _ -> true | _ -> false) (events service)));
   ]
 
 let () =

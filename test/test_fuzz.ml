@@ -88,10 +88,7 @@ let coverage_tests =
           Alcotest.(check bool) "bounded" true (b <= 62);
           prev := b
         done);
-    Alcotest.test_case "signature ignores order, path_signature keeps it" `Quick (fun () ->
-        let s1 = Fuzz.Coverage.signature [ "a"; "b" ] in
-        let s2 = Fuzz.Coverage.signature [ "b"; "a"; "a" ] in
-        Alcotest.(check string) "set semantics" (Fuzz.Coverage.hex s1) (Fuzz.Coverage.hex s2);
+    Alcotest.test_case "path_signature keeps order" `Quick (fun () ->
         let p1 = Fuzz.Coverage.path_signature [ "a"; "b" ] in
         let p2 = Fuzz.Coverage.path_signature [ "b"; "a" ] in
         Alcotest.(check bool) "order-sensitive" false (Int64.equal p1 p2);

@@ -151,7 +151,13 @@ let precopy_tests =
     Alcotest.test_case "estimated_idle_time matches an idle run's scale" `Quick (fun () ->
         let mp = mk_pair () in
         let pages = Memory.Address_space.pages (Vmm.Vm.ram mp.mp_source) in
-        let est = Sim.Time.to_s (Migration.Precopy.estimated_idle_time ~pages ()) in
+        (* one round carrying every page with its header *)
+        let config = Migration.Precopy.default_config in
+        let est =
+          Sim.Time.to_s
+            (Net.Link.transfer_time config.Migration.Precopy.link
+               (pages * (Memory.Page.size_bytes + config.Migration.Precopy.page_header_bytes)))
+        in
         let r = migrate_exn mp.Vmm.Layers.mp_ctx ~source:mp.mp_source ~dest:mp.mp_dest in
         let actual = Sim.Time.to_s r.Migration.Precopy.total_time in
         Alcotest.(check bool) "within 2x" true (actual < est *. 2. +. 1.));

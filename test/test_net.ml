@@ -184,25 +184,6 @@ let fabric_tests =
         send "fix";
         Alcotest.(check (list string)) "tap saw all" [ "ok"; "bad"; "fix" ] (List.rev !seen);
         Alcotest.(check (list string)) "handler saw filtered" [ "ok"; "fixed" ] (List.rev !got));
-    Alcotest.test_case "remove_tap restores flow" `Quick (fun () ->
-        let e, sw = mk_world () in
-        let n = Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"10.0.0.1" in
-        Node.attach n sw;
-        Node.add_tap n ~name:"dropper" (fun _ -> Drop);
-        let got = ref 0 in
-        Node.listen n 80 (fun _ -> incr got);
-        let send () =
-          send_and_run e sw
-            (Net.Packet.make ~id:1
-               ~src:(Net.Packet.endpoint "x" 1)
-               ~dst:(Net.Packet.endpoint "10.0.0.1" 80)
-               "p")
-        in
-        send ();
-        Alcotest.(check int) "dropped" 0 !got;
-        Node.remove_tap n ~name:"dropper";
-        send ();
-        Alcotest.(check int) "flows again" 1 !got);
     Alcotest.test_case "detach stops delivery" `Quick (fun () ->
         let e, sw = mk_world () in
         let n = Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"10.0.0.1" in

@@ -13,7 +13,7 @@ let time_tests =
     Alcotest.test_case "arithmetic" `Quick (fun () ->
         let a = ms 2. and b = ms 3. in
         Alcotest.(check int64) "add" (to_ns (ms 5.)) (to_ns (add a b));
-        Alcotest.(check int64) "sub" (to_ns (ms 1.)) (to_ns (sub b a));
+        Alcotest.(check int64) "sub" (to_ns (ms 1.)) (to_ns (diff b a));
         Alcotest.(check int64) "mul" (to_ns (ms 1.)) (to_ns (mul a 0.5)));
     Alcotest.test_case "comparisons" `Quick (fun () ->
         Alcotest.(check bool) "lt" true (ms 1. < ms 2.);
@@ -46,9 +46,8 @@ let rng_tests =
         let a = create 7 and b = create 8 in
         Alcotest.(check bool) "diverge" false (Int64.equal (int64 a) (int64 b)));
     Alcotest.test_case "split streams are independent" `Quick (fun () ->
-        let a = create 7 in
-        let c = split a in
-        let c' = copy c in
+        let a = create 7 and a' = create 7 in
+        let c = split a and c' = split a' in
         (* drawing from a must not perturb c *)
         ignore (int64 a);
         Alcotest.(check int64) "c unaffected" (int64 c') (int64 c));
@@ -85,13 +84,6 @@ let rng_tests =
         done;
         let mean = !acc /. float_of_int n in
         Alcotest.(check bool) "mean ~5" true (Float.abs (mean -. 5.) < 0.15));
-    Alcotest.test_case "shuffle permutes" `Quick (fun () ->
-        let r = create 17 in
-        let arr = Array.init 50 Fun.id in
-        shuffle r arr;
-        let sorted = Array.copy arr in
-        Array.sort Int.compare sorted;
-        Alcotest.(check (array int)) "same elements" (Array.init 50 Fun.id) sorted);
   ]
 
 let rng_props =
@@ -103,13 +95,6 @@ let rng_props =
            let r = Sim.Rng.create seed in
            let v = Sim.Rng.int r bound in
            v >= 0 && v < bound));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"Rng.uniform within interval" ~count:500
-         QCheck.(triple small_int (float_range (-100.) 100.) (float_range 0.001 100.))
-         (fun (seed, lo, width) ->
-           let r = Sim.Rng.create seed in
-           let v = Sim.Rng.uniform r lo (lo +. width) in
-           v >= lo && v < lo +. width));
   ]
 
 let stats_tests =
@@ -167,17 +152,6 @@ let stats_tests =
         Alcotest.(check (float 1e-9)) "p99" (percentile t 99.) s.p99;
         Alcotest.(check bool) "ordered" true (s.p50 <= s.p95 && s.p95 <= s.p99);
         Alcotest.(check bool) "bounded" true (s.min <= s.p50 && s.p99 <= s.max));
-    Alcotest.test_case "pp_summary prints percentiles" `Quick (fun () ->
-        let s = summary (of_list [ 1.; 2.; 3.; 4.; 5. ]) in
-        let text = Format.asprintf "%a" pp_summary s in
-        let has needle =
-          let n = String.length text and m = String.length needle in
-          let rec scan i = i + m <= n && (String.sub text i m = needle || scan (i + 1)) in
-          scan 0
-        in
-        List.iter
-          (fun needle -> Alcotest.(check bool) (needle ^ " present") true (has needle))
-          [ "p50="; "p95="; "p99="; "mean="; "stddev=" ]);
   ]
 
 let stats_props =
@@ -317,14 +291,6 @@ let engine_tests =
         let e = create () in
         ignore (run_for e (Sim.Time.s 2.));
         Alcotest.(check int64) "2 s" (Sim.Time.to_ns (Sim.Time.s 2.)) (Sim.Time.to_ns (now e)));
-    Alcotest.test_case "advance_to refuses to skip events" `Quick (fun () ->
-        let e = create () in
-        ignore (schedule_after e (Sim.Time.ms 1.) (fun () -> ()));
-        Alcotest.(check bool) "raises" true
-          (try
-             advance_to e (Sim.Time.ms 2.);
-             false
-           with Simulation_deadlock _ -> true));
     Alcotest.test_case "fork_rng gives reproducible streams" `Quick (fun () ->
         let e1 = create ~seed:9 () and e2 = create ~seed:9 () in
         let r1 = fork_rng e1 and r2 = fork_rng e2 in
@@ -340,47 +306,19 @@ let engine_tests =
 
 let trace_tests =
   let open Sim.Trace in
+  let messages t = List.map (fun (r : record) -> r.message) (records t) in
   [
     Alcotest.test_case "emit and read back" `Quick (fun () ->
         let t = create () in
-        emit t (Sim.Time.ms 1.) Info ~component:"vm" "started";
-        emit t (Sim.Time.ms 2.) Warn ~component:"ksm" "slow";
-        Alcotest.(check int) "count" 2 (count t);
-        Alcotest.(check int) "find vm" 1 (List.length (find t ~component:"vm")));
-    Alcotest.test_case "contains matches substring" `Quick (fun () ->
-        let t = create () in
-        emitf t Sim.Time.zero Info ~component:"hv" "launched %s (pid %d)" "guest0" 42;
-        Alcotest.(check bool) "match" true (contains t ~component:"hv" ~substring:"guest0");
-        Alcotest.(check bool) "no match" false (contains t ~component:"hv" ~substring:"nope"));
+        emitf t (Sim.Time.ms 1.) Info ~component:"vm" "started";
+        emitf t (Sim.Time.ms 2.) Warn ~component:"ksm" "slow";
+        Alcotest.(check (list string)) "chronological" [ "started"; "slow" ] (messages t));
     Alcotest.test_case "capacity drops oldest" `Quick (fun () ->
         let t = create ~capacity:3 () in
         for i = 1 to 5 do
-          emit t Sim.Time.zero Info ~component:"x" (string_of_int i)
+          emitf t Sim.Time.zero Info ~component:"x" "%d" i
         done;
-        Alcotest.(check int) "kept 3" 3 (count t);
-        Alcotest.(check int) "dropped 2" 2 (dropped t);
-        match records t with
-        | { message; _ } :: _ -> Alcotest.(check string) "oldest kept is 3" "3" message
-        | [] -> Alcotest.fail "empty");
-    Alcotest.test_case "clear empties" `Quick (fun () ->
-        let t = create () in
-        emit t Sim.Time.zero Debug ~component:"x" "y";
-        clear t;
-        Alcotest.(check int) "empty" 0 (count t));
-    Alcotest.test_case "clear resets the dropped counter" `Quick (fun () ->
-        let t = create ~capacity:2 () in
-        for i = 1 to 5 do
-          emit t Sim.Time.zero Info ~component:"x" (string_of_int i)
-        done;
-        Alcotest.(check int) "dropped before clear" 3 (dropped t);
-        clear t;
-        Alcotest.(check int) "dropped after clear" 0 (dropped t);
-        Alcotest.(check int) "count after clear" 0 (count t);
-        (* the buffer accepts a full capacity's worth again *)
-        emit t Sim.Time.zero Info ~component:"x" "a";
-        emit t Sim.Time.zero Info ~component:"x" "b";
-        Alcotest.(check int) "refilled" 2 (count t);
-        Alcotest.(check int) "still none dropped" 0 (dropped t));
+        Alcotest.(check (list string)) "newest 3 kept" [ "3"; "4"; "5" ] (messages t));
     Alcotest.test_case "emitf formats like Printf" `Quick (fun () ->
         let t = create () in
         emitf t (Sim.Time.ms 3.) Warn ~component:"ksm" "pass %d merged %d pages (%.1f%%)" 7
@@ -391,26 +329,6 @@ let trace_tests =
           Alcotest.(check string) "component" "ksm" r.component;
           Alcotest.(check bool) "level" true (r.level = Warn)
         | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs)));
-    Alcotest.test_case "find filters and preserves order" `Quick (fun () ->
-        let t = create () in
-        emit t (Sim.Time.ms 1.) Info ~component:"a" "one";
-        emit t (Sim.Time.ms 2.) Info ~component:"b" "two";
-        emit t (Sim.Time.ms 3.) Info ~component:"a" "three";
-        let found = find t ~component:"a" in
-        Alcotest.(check (list string))
-          "messages in order" [ "one"; "three" ]
-          (List.map (fun (r : record) -> r.message) found));
-    Alcotest.test_case "contains short-circuits across capacity drops" `Quick (fun () ->
-        let t = create ~capacity:2 () in
-        emit t Sim.Time.zero Info ~component:"x" "evicted";
-        emit t Sim.Time.zero Info ~component:"x" "kept-one";
-        emit t Sim.Time.zero Info ~component:"x" "kept-two";
-        Alcotest.(check bool)
-          "evicted record not found" false
-          (contains t ~component:"x" ~substring:"evicted");
-        Alcotest.(check bool)
-          "live record found" true
-          (contains t ~component:"x" ~substring:"kept-two"));
   ]
 
 let () =

@@ -114,21 +114,6 @@ let export_tests =
         let line = List.hd lines in
         Alcotest.(check bool) "object" true
           (String.length line > 1 && line.[0] = '{' && line.[String.length line - 1] = '}'));
-    Alcotest.test_case "with_span wraps and skips on raise" `Quick (fun () ->
-        let t = create () in
-        let clock = ref Sim.Time.zero in
-        let now () = !clock in
-        let v =
-          with_span (Some t) ~now ~component:"c" ~name:"ok" (fun () ->
-              clock := Sim.Time.ms 5.;
-              42)
-        in
-        Alcotest.(check int) "result" 42 v;
-        Alcotest.(check int) "recorded" 1 (spans_recorded t);
-        (try
-           with_span (Some t) ~now ~component:"c" ~name:"boom" (fun () -> failwith "x")
-         with Failure _ -> ());
-        Alcotest.(check int) "no span on raise" 1 (spans_recorded t));
     Alcotest.test_case "span capacity drops oldest" `Quick (fun () ->
         let t = create ~span_capacity:2 () in
         for i = 1 to 5 do

@@ -134,21 +134,6 @@ let netperf_tests =
         Alcotest.(check bool) "L1 noisiest" true (r1 > r0 && r1 > r2));
   ]
 
-let filebench_tests =
-  [
-    Alcotest.test_case "ops complete and rate is positive" `Quick (fun () ->
-        let env = mk_env ~pages:262144 () in
-        let r = Workload.Filebench.run ~ops:10_000 env in
-        Alcotest.(check int) "ops" 10_000 r.Workload.Filebench.ops_done;
-        Alcotest.(check bool) "rate > 0" true (r.Workload.Filebench.ops_per_second > 0.));
-    Alcotest.test_case "slower at L2 than at L0" `Quick (fun () ->
-        let rate level =
-          let env = mk_env ~pages:262144 ~level () in
-          (Workload.Filebench.run ~ops:10_000 env).Workload.Filebench.ops_per_second
-        in
-        Alcotest.(check bool) "L2 slower" true (rate Vmm.Level.l2 < rate Vmm.Level.l0));
-  ]
-
 let lmbench_tests =
   [
     Alcotest.test_case "Table II: arithmetic rows virtually level-independent" `Quick (fun () ->
@@ -217,7 +202,7 @@ let exec_env_tests =
   [
     Alcotest.test_case "consume advances time by the op cost" `Quick (fun () ->
         let env = mk_env () in
-        let op = Vmm.Cost_model.pure_cpu ~name:"x" ~cpu:(Sim.Time.ms 1.) in
+        let op = Vmm.Cost_model.op ~name:"x" ~cpu:(Sim.Time.ms 1.) () in
         let d = Workload.Exec_env.consume env op 10 in
         Alcotest.(check bool) "about 10ms" true
           (Float.abs (Sim.Time.to_ms d -. 10.) < 0.01));
@@ -247,7 +232,6 @@ let () =
       ("background", background_tests);
       ("kernel_compile", compile_tests);
       ("netperf", netperf_tests);
-      ("filebench", filebench_tests);
       ("lmbench", lmbench_tests);
       ("exec_env", exec_env_tests);
     ]

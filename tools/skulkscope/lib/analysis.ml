@@ -530,7 +530,7 @@ let check_apply c ~loc (head : Typedtree.expression) args =
         emit c span_pairing loc
           "span start %S is not bound in this definition: begin/end are \
            split across functions; capture both sides of the interval in \
-           one place (or use with_span)"
+           one place"
           (Ident.name a)
       | _ -> ())
     | _ -> ())
