@@ -1,6 +1,7 @@
 (* The measurements behind queue_bench's CI gates: incremental vs full
-   KSM rescan cost, the cost of an idle incremental KSM wakeup, and the
-   allocation of a KSM scan per page. *)
+   KSM rescan cost, the cost of an idle incremental KSM wakeup, the
+   allocation of a KSM scan per page and the allocation of the guest
+   write and page copy paths per page. *)
 
 (* The lowest of [repeats] calls of [once], so one scheduler hiccup on a
    shared machine does not end up in the recorded figure. *)
@@ -47,6 +48,31 @@ let ksm_scan_minor_words_per_page ~iters =
   let w0 = Gc.minor_words () in
   for _ = 1 to iters do
     Memory.Ksm.scan_once ksm
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (iters * pages)
+
+(* Minor-heap words per page of the page path: a guest rewrite of every
+   page of a root ([Address_space.mutate]) and a copy of each into a
+   window of a window ([Address_space.copy]) whose root KSM watches -
+   the re-dirtying and page-copy halves of a pre-copy round, through
+   every dirty bitmap and watcher a nested destination carries. Counted
+   over [iters] passes of 1024 pages. *)
+let page_path_minor_words_per_page ~iters =
+  let ctx = Sim.Ctx.create () in
+  let ft = Memory.Frame_table.create ctx in
+  let pages = 1024 in
+  let src = Memory.Address_space.create_root ft ~name:"src" ~pages in
+  let l1 = Memory.Address_space.create_root ft ~name:"l1" ~pages:(4 * pages) in
+  let l2 = Memory.Address_space.window l1 ~name:"l2" ~offset:pages ~pages:(2 * pages) in
+  let dst = Memory.Address_space.window l2 ~name:"dst" ~offset:(pages / 2) ~pages in
+  let ksm = Memory.Ksm.create ctx ft in
+  Memory.Ksm.register ksm l1;
+  let w0 = Gc.minor_words () in
+  for pass = 1 to iters do
+    for i = 0 to pages - 1 do
+      ignore (Memory.Address_space.mutate src i ~salt:pass);
+      ignore (Memory.Address_space.copy ~src i ~dst i)
+    done
   done;
   (Gc.minor_words () -. w0) /. float_of_int (iters * pages)
 

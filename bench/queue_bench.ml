@@ -1,16 +1,24 @@
-(* Standalone KSM benchmark, used as the CI perf smoke: prints
-   incremental-vs-full KSM rescan cost, the cost of an idle incremental
-   KSM wakeup and the allocation of a full KSM sweep, and exits non-zero
-   if the incremental rescan stops clearly beating the full sweep, an
-   idle wakeup stops costing O(spaces) - over 64 spaces, one of 4096
-   pages each must cost under 3x one of 64 pages each (about 1x when
-   clean spaces are skipped on their dirty count, 10x or more when every
-   bitmap word is walked) - or a full sweep allocates more than 12
-   minor-heap words per scanned page. The two timing gates are ratios of
-   two timings on one machine with a wide margin, so shared CI runners
-   do not flake; a real regression - a rescan or wakeup degrading to a
-   walk of the whole table - trips them immediately. The allocation gate
-   counts words, not seconds, so it is tight.
+(* Standalone KSM and page-path benchmark, used as the CI perf smoke:
+   prints incremental-vs-full KSM rescan cost, the cost of an idle
+   incremental KSM wakeup, the allocation of a full KSM sweep and the
+   allocation of the page path (a guest rewrite plus a page copy into a
+   nested window), and exits non-zero on any of four gates:
+   - the incremental rescan stops clearly beating the full sweep (2x);
+   - an idle wakeup stops costing O(spaces): over 64 spaces, one of 4096
+     pages each must cost under 3x one of 64 pages each (about 1x when
+     clean spaces are skipped on their dirty count, 10x or more when
+     every bitmap word is walked);
+   - a full KSM sweep allocates more than 5 minor-heap words per
+     scanned page;
+   - the page path allocates more than 0.5 minor-heap words per page.
+   The two timing gates are ratios of two timings on one machine with a
+   wide margin, so shared CI runners do not flake; a real regression - a
+   rescan or wakeup degrading to a walk of the whole table - trips them
+   immediately. The allocation gates count words, not seconds, so they
+   are tight. They hold for a release build (dune build --profile
+   release): a dev build compiles every library -opaque, so nothing is
+   inlined across modules and each page's content is boxed at every
+   call.
 
    Usage: queue_bench [--quick]   (--quick shrinks iteration counts;
    any other argument is rejected with exit status 2) *)
@@ -47,6 +55,11 @@ let () =
   Printf.printf "ksm full sweep allocation: 64 x 256 pages (%d wakeups)\n" scan_iters;
   let scan_words = Event_bench.ksm_scan_minor_words_per_page ~iters:scan_iters in
   Printf.printf "  %-34s %10.2f minor words/page\n" "full sweep" scan_words;
+  let path_iters = 100 in
+  Printf.printf "page path allocation: mutate + copy into a nested window, 1024 pages (%d passes)\n"
+    path_iters;
+  let path_words = Event_bench.page_path_minor_words_per_page ~iters:path_iters in
+  Printf.printf "  %-34s %10.2f minor words/page\n" "mutate + copy" path_words;
   let failures = ref [] in
   if rescan_speedup < 2. then
     failures := Printf.sprintf "incremental rescan speedup %.2fx < 2x" rescan_speedup :: !failures;
@@ -55,9 +68,13 @@ let () =
       Printf.sprintf "idle wakeup over 64 x 4096 pages costs %.2fx one over 64 x 64 (> 3x)"
         idle_ratio
       :: !failures;
-  if scan_words > 12. then
+  if scan_words > 5. then
     failures :=
-      Printf.sprintf "ksm full sweep allocates %.2f minor words/page (> 12)" scan_words
+      Printf.sprintf "ksm full sweep allocates %.2f minor words/page (> 5)" scan_words
+      :: !failures;
+  if path_words > 0.5 then
+    failures :=
+      Printf.sprintf "page path allocates %.2f minor words/page (> 0.5)" path_words
       :: !failures;
   match !failures with
   | [] -> print_endline "smoke: OK"

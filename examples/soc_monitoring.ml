@@ -80,9 +80,7 @@ let () =
                 | None -> 0
               in
               for i = 0 to pages - 1 do
-                let c = Memory.Address_space.read ram (off + i) in
-                ignore
-                  (Memory.Address_space.write ram (off + i) (Memory.Page.Content.mutate c ~salt))
+                ignore (Memory.Address_space.mutate ram (off + i) ~salt)
               done;
               Ok ());
       }

@@ -52,8 +52,7 @@ let mutate_file_in vm ~name ~salt =
     in
     let ram = Vmm.Vm.ram vm in
     for i = 0 to pages - 1 do
-      let c = Memory.Address_space.read ram (offset + i) in
-      ignore (Memory.Address_space.write ram (offset + i) (Memory.Page.Content.mutate c ~salt))
+      ignore (Memory.Address_space.mutate ram (offset + i) ~salt)
     done;
     Ok ()
 

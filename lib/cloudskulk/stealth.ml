@@ -52,6 +52,7 @@ let sync_victim_page ~guestx ~victim ~name ~page =
   | None, _ -> Error (Printf.sprintf "victim holds no file named %s" name)
   | _, None -> Error (Printf.sprintf "guestx holds no mirror of %s" name)
   | Some voff, Some goff ->
-    let content = Memory.Address_space.read (Vmm.Vm.ram victim) (voff + page) in
-    ignore (Memory.Address_space.write (Vmm.Vm.ram guestx) (goff + page) content);
+    ignore
+      (Memory.Address_space.copy ~src:(Vmm.Vm.ram victim) (voff + page)
+         ~dst:(Vmm.Vm.ram guestx) (goff + page));
     Ok ()

@@ -1,11 +1,15 @@
-type backing =
-  | Root of { table : Frame_table.t; frames : Frame_table.frame array }
-  | Window of { parent : t; offset : int }
-
-and t = {
+(* Windows never move, so every space resolves its place in the root
+   once, at creation: [frames] is the root's frame array (shared by the
+   whole window tree) and [base] the root index of this space's page 0.
+   Page [i] of any space, at any nesting depth, is [frames.(base + i)];
+   [parent] is kept only to mark dirt up the chain. *)
+type t = {
   name : string;
   pages : int;
-  backing : backing;
+  table : Frame_table.t;
+  frames : Frame_table.frame array;
+  base : int;
+  parent : t option;
   dirty : Dirty.t;
   (* extra bitmaps fired on every write to this space (after delegation
      translation); lets several consumers - migration's live bitmap and
@@ -14,93 +18,78 @@ and t = {
   mutable watchers : Dirty.t list;
 }
 
-let rec frame_table t =
-  match t.backing with
-  | Root r -> r.table
-  | Window w -> frame_table w.parent
-
 let create_root table ~name ~pages =
   if pages <= 0 then invalid_arg "Address_space.create_root: pages must be positive";
   let frames = Array.init pages (fun _ -> Frame_table.alloc table Page.Content.zero) in
   let dirty = Dirty.for_table table pages in
-  { name; pages; backing = Root { table; frames }; dirty; watchers = [] }
+  { name; pages; table; frames; base = 0; parent = None; dirty; watchers = [] }
 
 let window parent ~name ~offset ~pages =
   if offset < 0 || pages <= 0 || offset + pages > parent.pages then
     invalid_arg "Address_space.window: range does not fit in parent";
-  let table = frame_table parent in
   {
     name;
     pages;
-    backing = Window { parent; offset };
-    dirty = Dirty.for_table table pages;
+    table = parent.table;
+    frames = parent.frames;
+    base = parent.base + offset;
+    parent = Some parent;
+    dirty = Dirty.for_table parent.table pages;
     watchers = [];
   }
 
 let name t = t.name
 let pages t = t.pages
-let is_root t = match t.backing with Root _ -> true | Window _ -> false
+let is_root t = Option.is_none t.parent
 
-let check t i =
-  if i < 0 || i >= t.pages then
-    invalid_arg (Printf.sprintf "Address_space %s: page %d out of range" t.name i)
+let out_of_range t i =
+  invalid_arg (Printf.sprintf "Address_space %s: page %d out of range" t.name i)
 
-let rec resolve t i =
+let[@inline] check t i = if i < 0 || i >= t.pages then out_of_range t i
+
+let rec root t = match t.parent with None -> t | Some p -> root p
+
+let resolve t i =
   check t i;
-  match t.backing with
-  | Root _ -> (t, i)
-  | Window w -> resolve w.parent (w.offset + i)
+  (root t, t.base + i)
 
-let root_frames t =
-  match t.backing with
-  | Root r -> r.frames
-  | Window _ -> assert false
+let[@inline] frame_at t i =
+  check t i;
+  t.frames.(t.base + i)
 
-(* Root spaces answer directly - no (root, index) tuple - because the
-   KSM scan loop reads and resolves frames for every page of every
-   registered (always root) space. *)
-let frame_at t i =
-  match t.backing with
-  | Root r ->
-    check t i;
-    r.frames.(i)
-  | Window _ ->
-    let root, ri = resolve t i in
-    (root_frames root).(ri)
-
-let read t i =
-  match t.backing with
-  | Root r ->
-    check t i;
-    Frame_table.content r.table r.frames.(i)
-  | Window _ ->
-    let root, ri = resolve t i in
-    Frame_table.content (frame_table root) (root_frames root).(ri)
+let[@inline] read t i = Frame_table.content t.table (frame_at t i)
 
 type write_kind = Private_write | Cow_break
+
+let rec mark_watchers ws i =
+  match ws with
+  | [] -> ()
+  | d :: rest ->
+    Dirty.set d i;
+    mark_watchers rest i
 
 (* Mark dirty in this space and every ancestor on the delegation path. *)
 let rec mark_dirty_chain t i =
   Dirty.set t.dirty i;
-  (match t.watchers with
-  | [] -> ()
-  | ws -> List.iter (fun d -> Dirty.set d i) ws);
-  match t.backing with
-  | Root _ -> ()
-  | Window w -> mark_dirty_chain w.parent (w.offset + i)
+  mark_watchers t.watchers i;
+  match t.parent with
+  | None -> ()
+  | Some p -> mark_dirty_chain p (t.base - p.base + i)
 
-let write t i c =
-  let root, ri = resolve t i in
-  let table = frame_table t in
-  let frames = root_frames root in
-  let f = frames.(ri) in
+(* The body of [write], inlined into [mutate] and [copy] so the content
+   stays an unboxed int64 from the load to the store. *)
+let[@inline] store t i c =
+  check t i;
+  let ri = t.base + i in
+  let table = t.table in
+  let f = t.frames.(ri) in
   let kind =
     if Frame_table.is_shared table f then begin
       (* Copy-on-write: the shared frame keeps its content for the other
          sharers; this space gets a fresh private copy. *)
       let fresh = Frame_table.alloc table c in
       Frame_table.decref table f;
-      frames.(ri) <- fresh;
+      t.frames.(ri) <- fresh;
       Frame_table.note_cow_break table;
       Cow_break
     end
@@ -112,17 +101,19 @@ let write t i c =
   mark_dirty_chain t i;
   kind
 
+let write t i c = store t i c
+let mutate t i ~salt = store t i (Page.Content.mutate (read t i) ~salt)
+let copy ~src i ~dst j = store dst j (read src i)
+
 let remap t i f =
-  match t.backing with
-  | Window _ -> invalid_arg "Address_space.remap: only valid on a root space"
-  | Root r ->
-    check t i;
-    let old = r.frames.(i) in
-    if old <> f then begin
-      Frame_table.incref r.table f;
-      Frame_table.decref r.table old;
-      r.frames.(i) <- f
-    end
+  if not (is_root t) then invalid_arg "Address_space.remap: only valid on a root space";
+  check t i;
+  let old = t.frames.(i) in
+  if old <> f then begin
+    Frame_table.incref t.table f;
+    Frame_table.decref t.table old;
+    t.frames.(i) <- f
+  end
 
 let dirty t = t.dirty
 
@@ -139,7 +130,7 @@ let load t ~offset contents =
 let contents t = Array.init t.pages (fun i -> read t i)
 
 let shared_page_count t =
-  let table = frame_table t in
+  let table = t.table in
   let n = ref 0 in
   for i = 0 to t.pages - 1 do
     if Frame_table.is_shared table (frame_at t i) then incr n
@@ -148,7 +139,7 @@ let shared_page_count t =
 
 let check_invariants t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let table = frame_table t in
+  let table = t.table in
   if Dirty.length t.dirty <> t.pages then
     err "space %s: dirty bitmap covers %d pages, space has %d" t.name (Dirty.length t.dirty)
       t.pages
@@ -166,25 +157,23 @@ let check_invariants t =
       in
       match live 0 with
       | Error _ as e -> e
+      | Ok () when not (is_root t) -> Ok ()
       | Ok () -> (
-        match t.backing with
-        | Window _ -> Ok ()
-        | Root r ->
-          (* each appearance of a frame in this space holds one of its
-             references, so per-frame multiplicity is bounded by the
-             table's refcount *)
-          let counts = Hashtbl.create 64 in
-          Array.iter
-            (fun f ->
-              Hashtbl.replace counts f (1 + Option.value ~default:0 (Hashtbl.find_opt counts f)))
-            r.frames;
-          let over =
-            Hashtbl.fold (fun f n acc -> if n > Frame_table.refcount r.table f then (f, n) :: acc else acc) counts []
-            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-          in
-          (match over with
-          | [] -> Ok ()
-          | (f, n) :: _ ->
-            err "space %s: frame %d mapped %d times but refcount is %d" t.name f n
-              (Frame_table.refcount r.table f))))
+        (* each appearance of a frame in this space holds one of its
+           references, so per-frame multiplicity is bounded by the
+           table's refcount *)
+        let counts = Hashtbl.create 64 in
+        Array.iter
+          (fun f ->
+            Hashtbl.replace counts f (1 + Option.value ~default:0 (Hashtbl.find_opt counts f)))
+          t.frames;
+        let over =
+          Hashtbl.fold (fun f n acc -> if n > Frame_table.refcount table f then (f, n) :: acc else acc) counts []
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        in
+        match over with
+        | [] -> Ok ()
+        | (f, n) :: _ ->
+          err "space %s: frame %d mapped %d times but refcount is %d" t.name f n
+            (Frame_table.refcount table f)))
   end

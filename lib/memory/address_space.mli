@@ -7,7 +7,12 @@
     parent hypervisor's RAM. Writes through a window resolve to the same
     physical frames the parent sees, which is why L0's KSM can merge
     pages that logically belong to L2 - the property the CloudSkulk
-    detector exploits. *)
+    detector exploits.
+
+    Windows never move, so a window is resolved to its root once, at
+    creation: every space holds the root's frame array and the root
+    index of its own page 0. A read or write through any nesting depth
+    is one bounds-checked array access - no chain walk, no allocation. *)
 
 type t
 
@@ -41,6 +46,16 @@ val write : t -> int -> Page.Content.t -> write_kind
 (** Write content into a page. Breaks sharing if needed, and marks the
     page dirty in this space and every ancestor space along the
     delegation chain (each at its own local index). *)
+
+val mutate : t -> int -> salt:int -> write_kind
+(** [mutate t i ~salt] is [write t i (Page.Content.mutate (read t i) ~salt)]
+    - a guest rewriting one page - with the content kept unboxed from
+    load to store. *)
+
+val copy : src:t -> int -> dst:t -> int -> write_kind
+(** [copy ~src i ~dst j] is [write dst j (read src i)] - one page of a
+    migration stream or a mirror - with the content kept unboxed from
+    load to store. *)
 
 val remap : t -> int -> Frame_table.frame -> unit
 (** [remap t i f] makes page [i] refer to existing frame [f] (used by KSM

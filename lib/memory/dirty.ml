@@ -27,13 +27,13 @@ let for_table table n = make (Frame_table.telemetry table) n
 
 let length t = t.length
 
-let check t i = if i < 0 || i >= t.length then invalid_arg "Dirty: index out of range"
+let[@inline] check t i = if i < 0 || i >= t.length then invalid_arg "Dirty: index out of range"
 
 let is_dirty t i =
   check t i;
   (t.words.(i lsr 5) lsr (i land 31)) land 1 <> 0
 
-let set t i =
+let[@inline] set t i =
   check t i;
   let w = i lsr 5 in
   let mask = 1 lsl (i land 31) in

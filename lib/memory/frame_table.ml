@@ -50,8 +50,8 @@ let grow t =
   t.refs <- refs;
   t.stable <- stable
 
-let get_content t f = Page.Content.of_int64 (Bytes.get_int64_ne t.contents (f lsl 3))
-let set_content t f c = Bytes.set_int64_ne t.contents (f lsl 3) (Page.Content.to_int64 c)
+let[@inline] get_content t f = Page.Content.of_int64 (Bytes.get_int64_ne t.contents (f lsl 3))
+let[@inline] set_content t f c = Bytes.set_int64_ne t.contents (f lsl 3) (Page.Content.to_int64 c)
 let get_stable t f = Bytes.get t.stable f <> '\000'
 let set_stable t f b = Bytes.set t.stable f (if b then '\001' else '\000')
 
@@ -77,18 +77,18 @@ let alloc t c =
   f
 
 (* Every accessor but [is_live] asserts the frame is allocated. *)
-let assert_live t f = assert (t.refs.(f) > 0)
+let[@inline] assert_live t f = assert (t.refs.(f) > 0)
 let is_live t f = f >= 0 && f < t.used && t.refs.(f) > 0
 
-let content t f =
+let[@inline] content t f =
   assert_live t f;
   get_content t f
 
-let refcount t f =
+let[@inline] refcount t f =
   assert_live t f;
   t.refs.(f)
 
-let is_shared t f = refcount t f > 1
+let[@inline] is_shared t f = refcount t f > 1
 let incref t f = t.refs.(f) <- refcount t f + 1
 
 let decref t f =
@@ -100,7 +100,7 @@ let decref t f =
     t.live <- t.live - 1
   end
 
-let write t f c =
+let[@inline] write t f c =
   assert (refcount t f = 1);
   set_content t f c
 

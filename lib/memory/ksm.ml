@@ -162,24 +162,28 @@ let unregister t space =
       t.cursor_page <- 0
     end
 
+(* Stable-tree lookups answer a frame, or [no_frame] when there is no
+   valid entry; frames are non-negative. *)
+let no_frame = -1
+
 (* A stable-tree entry is valid only while its frame is still live,
    flagged stable, and holding the content it was indexed under (CoW can
-   have recycled it). Invalid entries are pruned on lookup. [content] is
-   lazy so a checksum miss - the overwhelmingly common case - never
-   reads the probing page at all. *)
-let stable_lookup t content checksum =
-  match Int_tbl.find_opt t.stable checksum with
-  | None -> None
-  | Some f ->
+   have recycled it). Invalid entries are pruned on lookup. Page [i] of
+   [space] is read only on a checksum hit, so a miss - the
+   overwhelmingly common case - never touches the probing page. *)
+let stable_lookup t space i checksum =
+  match Int_tbl.find t.stable checksum with
+  | exception Not_found -> no_frame
+  | f ->
     let valid =
       Frame_table.is_live t.table f
       && Frame_table.is_stable t.table f
-      && Page.Content.equal (Frame_table.content t.table f) (Lazy.force content)
+      && Page.Content.equal (Frame_table.content t.table f) (Address_space.read space i)
     in
-    if valid then Some f
+    if valid then f
     else begin
       Int_tbl.remove t.stable checksum;
-      None
+      no_frame
     end
 
 let merge_into_stable t space i stable_frame =
@@ -196,18 +200,18 @@ let promote_to_stable t space i =
 (* The unstable tree holds one candidate per content recorded earlier in
    this pass; an entry is only useful while its slot/page still exists
    and still holds that content. *)
-let scan_unstable t slot_idx space i content checksum f =
+let scan_unstable t slot_idx space i checksum f =
   let self = (slot_idx lsl 32) lor i in
-  match Int_tbl.find_opt t.unstable checksum with
-  | None -> Int_tbl.replace t.unstable checksum self
-  | Some enc ->
+  match Int_tbl.find t.unstable checksum with
+  | exception Not_found -> Int_tbl.replace t.unstable checksum self
+  | enc ->
     let idx' = enc lsr 32 and i' = enc land 0xFFFF_FFFF in
     let valid =
       idx' < t.n_slots
       &&
       let space' = t.slots.(idx').space in
       i' < Address_space.pages space'
-      && Page.Content.equal (Address_space.read space' i') (Lazy.force content)
+      && Page.Content.equal (Address_space.read space' i') (Address_space.read space i)
     in
     if not valid then Int_tbl.replace t.unstable checksum self
     else
@@ -227,18 +231,19 @@ let scan_page t slot_idx slot i =
   let space = slot.space in
   let was_written = Dirty.test_and_clear slot.rescan i in
   let previous = slot.checksums.(i) in
-  let content = lazy (Address_space.read space i) in
   (* Cached-checksum fast path: if no write was observed since the
      previous scan, the content - and therefore its hash - cannot have
      changed (every content change goes through [Address_space.write],
-     and KSM's own remaps are content-preserving), so the expensive
-     read + hash is skipped. Behaviour is identical by construction. *)
+     and KSM's own remaps are content-preserving), so the page is not
+     read at all. Behaviour is identical by construction. Elsewhere the
+     content is read where it is compared: [read] has no side effects,
+     so reading twice costs two loads and nothing else. *)
   let checksum =
     if (not was_written) && previous <> never_scanned then begin
       t.clean_skips <- t.clean_skips + 1;
       previous
     end
-    else Page.Content.hash (Lazy.force content)
+    else Page.Content.hash (Address_space.read space i)
   in
   slot.checksums.(i) <- checksum;
   let f = Address_space.frame_at space i in
@@ -246,23 +251,23 @@ let scan_page t slot_idx slot i =
     (* Already merged; nothing to do this pass. *)
     ()
   else
-    match stable_lookup t content checksum with
-    | Some s when s <> f -> merge_into_stable t space i s
-    | Some _ -> ()
-    | None ->
+    let s = stable_lookup t space i checksum in
+    if s <> no_frame then begin
+      if s <> f then merge_into_stable t space i s
+    end
+    else if previous <> never_scanned && previous <> checksum then begin
       (* Volatile page: the content moved since the previous scan, so it
          would only pollute the unstable tree (real ksmd's checksum
          skip). A page seen for the first time is taken at face value. *)
-      if previous <> never_scanned && previous <> checksum then begin
-        t.volatile_skips <- t.volatile_skips + 1;
-        Sim.Telemetry.incr t.m_volatile;
-        (* keep the churner in the rescan set: the incremental sweep
-           only visits dirty pages, and a page that settles after one
-           write must still get the quiescent revisit that admits it to
-           the unstable tree *)
-        Dirty.set slot.rescan i
-      end
-      else scan_unstable t slot_idx space i content checksum f
+      t.volatile_skips <- t.volatile_skips + 1;
+      Sim.Telemetry.incr t.m_volatile;
+      (* keep the churner in the rescan set: the incremental sweep
+         only visits dirty pages, and a page that settles after one
+         write must still get the quiescent revisit that admits it to
+         the unstable tree *)
+      Dirty.set slot.rescan i
+    end
+    else scan_unstable t slot_idx space i checksum f
 
 let total_pages t =
   let acc = ref 0 in

@@ -15,10 +15,9 @@ let probe ?(params = Mem_params.default) ~rng space ~offset ~pages =
     if i >= pages then (List.rev acc, total, breaks)
     else begin
       let idx = offset + i in
-      let current = Address_space.read space idx in
       (* Rewriting with a mutated content models "write one byte into the
          page": the content changes, and the cost depends on sharing. *)
-      let kind = Address_space.write space idx (Page.Content.mutate current ~salt:i) in
+      let kind = Address_space.mutate space idx ~salt:i in
       let cost = Mem_params.write_cost params rng kind in
       let breaks =
         match kind with Address_space.Cow_break -> breaks + 1 | Address_space.Private_write -> breaks

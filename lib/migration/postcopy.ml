@@ -91,7 +91,7 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
     let we_paused = ref false in
     let copy_range lo hi =
       for i = lo to hi - 1 do
-        ignore (Memory.Address_space.write dram i (Memory.Address_space.read sram i))
+        ignore (Memory.Address_space.copy ~src:sram i ~dst:dram i)
       done
     in
     (* Phase 1: stop the source, push device state + working set. A

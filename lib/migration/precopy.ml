@@ -105,27 +105,35 @@ let dirty_pages bitmap =
     fold = (fun f init -> Memory.Dirty.fold_dirty bitmap f init);
   }
 
+(* Without zero-page detection or XBZRLE every page costs a full frame
+   plus its header, so the round's size is a product, not a walk. *)
 let wire_bytes config ~source ~sent_before pages =
-  let ram = Vmm.Vm.ram source in
-  pages.fold
-    (fun acc i ->
-      let payload =
-        if
-          config.zero_page_optimization
-          && Memory.Page.Content.is_zero (Memory.Address_space.read ram i)
-        then 0
-        else if config.xbzrle && Memory.Dirty.is_dirty sent_before i then
-          (* destination holds this page's previous version: ship a delta *)
-          int_of_float (Float.round (config.xbzrle_ratio *. float_of_int Memory.Page.size_bytes))
-        else Memory.Page.size_bytes
-      in
-      acc + config.page_header_bytes + payload)
-    0
+  if not (config.zero_page_optimization || config.xbzrle) then
+    pages.page_count * (config.page_header_bytes + Memory.Page.size_bytes)
+  else
+    let ram = Vmm.Vm.ram source in
+    pages.fold
+      (fun acc i ->
+        let payload =
+          if
+            config.zero_page_optimization
+            && Memory.Page.Content.is_zero (Memory.Address_space.read ram i)
+          then 0
+          else if config.xbzrle && Memory.Dirty.is_dirty sent_before i then
+            (* destination holds this page's previous version: ship a delta *)
+            int_of_float (Float.round (config.xbzrle_ratio *. float_of_int Memory.Page.size_bytes))
+          else Memory.Page.size_bytes
+        in
+        acc + config.page_header_bytes + payload)
+      0
 
-let copy_pages ~source ~dest pages =
+(* Copy a round's pages and record each as held by the destination. *)
+let copy_pages ~source ~dest ~sent_before pages =
   let sram = Vmm.Vm.ram source and dram = Vmm.Vm.ram dest in
   pages.fold
-    (fun () i -> ignore (Memory.Address_space.write dram i (Memory.Address_space.read sram i)))
+    (fun () i ->
+      ignore (Memory.Address_space.copy ~src:sram i ~dst:dram i);
+      Memory.Dirty.set sent_before i)
     ()
 
 (* Channel failure mid-migration; carries the QEMU-style abort reason. *)
@@ -233,8 +241,7 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
          the wire: this is where re-dirtying happens. *)
       transmit ~round (Net.Link.transfer_time link bytes);
       let duration = Sim.Time.diff (Sim.Engine.now engine) round_started in
-      copy_pages ~source ~dest pages;
-      pages.fold (fun () i -> Memory.Dirty.set sent_before i) ();
+      copy_pages ~source ~dest ~sent_before pages;
       let dirtied_during = Memory.Dirty.dirty_count dirty in
       Sim.Telemetry.incr m_rounds;
       Sim.Telemetry.add m_pages pages.page_count;
@@ -303,7 +310,7 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
        transmit ~round:final_round
          (Net.Link.transfer_time link (final_bytes + device_state_bytes));
        let downtime = Sim.Time.diff (Sim.Engine.now engine) downtime_started in
-       copy_pages ~source ~dest final_set;
+       copy_pages ~source ~dest ~sent_before final_set;
        Sim.Telemetry.incr m_rounds;
        Sim.Telemetry.add m_pages final_set.page_count;
        Sim.Telemetry.add m_bytes final_bytes;

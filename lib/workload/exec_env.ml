@@ -45,9 +45,7 @@ let consume t op n =
   charge_exits t (int_of_float (op.Vmm.Cost_model.sw_exits *. float_of_int n));
   elapsed
 
-let rewrite t i =
-  let c = Memory.Address_space.read t.ram i in
-  ignore (Memory.Address_space.write t.ram i (Memory.Page.Content.mutate c ~salt:i))
+let rewrite t i = ignore (Memory.Address_space.mutate t.ram i ~salt:i)
 
 let dirty_random t n =
   let pages = Memory.Address_space.pages t.ram in

@@ -366,6 +366,86 @@ let space_tests =
           data);
   ]
 
+(* A root of 16 distinct pages with a window over pages 4..11, a write
+   watcher on each, every bitmap clean, and root page 5 (window page 1)
+   remapped onto root page 6's frame so it is shared. Two calls build
+   identical worlds, so one primitive can be checked against another. *)
+let page_path_world () =
+  let tel = Sim.Telemetry.create () in
+  let ft = Memory.Frame_table.create (Sim.Ctx.create ~telemetry:tel ()) in
+  let r = Memory.Address_space.create_root ft ~name:"r" ~pages:16 in
+  let w = Memory.Address_space.window r ~name:"w" ~offset:4 ~pages:8 in
+  let watch s =
+    let d = Memory.Dirty.create (Memory.Address_space.pages s) in
+    Memory.Address_space.watch_writes s d;
+    d
+  in
+  let bitmaps =
+    [ Memory.Address_space.dirty r; Memory.Address_space.dirty w; watch r; watch w ]
+  in
+  for i = 0 to 15 do
+    ignore (Memory.Address_space.write r i (Memory.Page.Content.of_int i))
+  done;
+  Memory.Address_space.remap r 5 (Memory.Address_space.frame_at r 6);
+  List.iter Memory.Dirty.clear bitmaps;
+  let observe () =
+    ( Array.map Memory.Page.Content.to_int64 (Memory.Address_space.contents r),
+      List.map
+        (fun d -> List.init (Memory.Dirty.length d) (Memory.Dirty.is_dirty d))
+        bitmaps,
+      Sim.Telemetry.value tel "memory_cow_breaks_total",
+      (Memory.Frame_table.live_frames ft, Memory.Frame_table.shared_frames ft) )
+  in
+  (r, w, observe)
+
+let primitive_tests =
+  let same name (r1, w1, obs1) (r2, w2, obs2) primitive reference =
+    let k1 = primitive r1 w1 and k2 = reference r2 w2 in
+    Alcotest.(check bool) (name ^ ": write kind") true (k1 = k2);
+    Alcotest.(check bool) (name ^ ": observable state") true (obs1 () = obs2 ())
+  in
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  let open Memory.Address_space in
+  [
+    Alcotest.test_case "mutate and copy match read-then-write" `Quick (fun () ->
+        List.iter
+          (fun (name, primitive, reference) ->
+            same name (page_path_world ()) (page_path_world ()) primitive reference)
+          [
+            ( "mutate, shared frame (CoW)",
+              (fun _ w -> mutate w 1 ~salt:3),
+              fun _ w -> write w 1 (Memory.Page.Content.mutate (read w 1) ~salt:3) );
+            ( "mutate, private frame",
+              (fun r _ -> mutate r 9 ~salt:0),
+              fun r _ -> write r 9 (Memory.Page.Content.mutate (read r 9) ~salt:0) );
+            ( "copy into a shared frame (CoW)",
+              (fun r w -> copy ~src:r 14 ~dst:w 1),
+              fun r w -> write w 1 (read r 14) );
+            ( "copy into a private frame",
+              (fun r w -> copy ~src:w 2 ~dst:r 12),
+              fun r w -> write r 12 (read w 2) );
+          ];
+        (* the CoW cases really broke a shared frame *)
+        let r, w, observe = page_path_world () in
+        Alcotest.(check bool) "mutate breaks CoW" true (mutate w 1 ~salt:3 = Cow_break);
+        ignore (copy ~src:r 14 ~dst:r 6);
+        let _, _, breaks, _ = observe () in
+        Alcotest.(check (option (float 0.))) "one break counted" (Some 1.) breaks);
+    Alcotest.test_case "mutate and copy reject out-of-range pages" `Quick (fun () ->
+        let r, w, _ = page_path_world () in
+        Alcotest.(check bool) "mutate past a window" true (raises (fun () -> mutate w 8 ~salt:0));
+        Alcotest.(check bool) "mutate below zero" true (raises (fun () -> mutate r (-1) ~salt:0));
+        Alcotest.(check bool) "copy from past the source" true
+          (raises (fun () -> copy ~src:w 8 ~dst:r 0));
+        Alcotest.(check bool) "copy to past the destination" true
+          (raises (fun () -> copy ~src:r 0 ~dst:w 8)));
+  ]
+
 let make_ksm_world ?(config = Memory.Ksm.fast_config) () =
   let ctx = Sim.Ctx.create () in
   let engine = Sim.Ctx.engine ctx in
@@ -863,8 +943,112 @@ let probe_tests =
         Alcotest.(check (float 1e-9)) "1 of 4" 0.25 (Memory.Write_probe.fraction_cow probe));
   ]
 
+(* A root of 48 pages, a window over its pages 8..39 and a window over
+   that window's pages 4..19 (root 12..27), each with a write watcher,
+   driven by random writes, mutates, copies, remaps and dirty-bitmap
+   clears. The model is flat: one content per root page, one sharing
+   group per root page (pages with equal groups share a frame) and one
+   bool per bit of each bitmap. A write to space [k] lands at root index
+   [base k + i] and marks space [k] and every ancestor at its own
+   index. *)
+let flat_window_model seed =
+  let bases = [| 0; 8; 12 |] and sizes = [| 48; 32; 16 |] in
+  let tel = Sim.Telemetry.create () in
+  let ft = Memory.Frame_table.create (Sim.Ctx.create ~telemetry:tel ()) in
+  let root = Memory.Address_space.create_root ft ~name:"r" ~pages:48 in
+  let w = Memory.Address_space.window root ~name:"w" ~offset:8 ~pages:32 in
+  let ww = Memory.Address_space.window w ~name:"ww" ~offset:4 ~pages:16 in
+  let spaces = [| root; w; ww |] in
+  let watchers =
+    Array.map
+      (fun s ->
+        let d = Memory.Dirty.create (Memory.Address_space.pages s) in
+        Memory.Address_space.watch_writes s d;
+        d)
+      spaces
+  in
+  let content = Array.make 48 Memory.Page.Content.zero in
+  let group = Array.init 48 Fun.id in
+  let next_group = ref 48 in
+  let breaks = ref 0 in
+  let dirty = Array.map (fun n -> Array.make n false) sizes in
+  let watched = Array.map (fun n -> Array.make n false) sizes in
+  let store k i c =
+    let ri = bases.(k) + i in
+    let g = group.(ri) in
+    if Array.fold_left (fun n g' -> if g' = g then n + 1 else n) 0 group > 1 then begin
+      incr breaks;
+      group.(ri) <- !next_group;
+      incr next_group
+    end;
+    content.(ri) <- c;
+    for a = 0 to k do
+      dirty.(a).(ri - bases.(a)) <- true;
+      watched.(a).(ri - bases.(a)) <- true
+    done
+  in
+  let r = Sim.Rng.create seed in
+  let page k = Sim.Rng.int r sizes.(k) in
+  let failure = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !failure = None then failure := Some m) fmt in
+  let check step =
+    let module A = Memory.Address_space in
+    Array.iteri
+      (fun k s ->
+        for i = 0 to sizes.(k) - 1 do
+          let ri = bases.(k) + i in
+          if not (Memory.Page.Content.equal (A.read s i) content.(ri)) then
+            fail "step %d: %s[%d] content" step (A.name s) i;
+          if Memory.Dirty.is_dirty (A.dirty s) i <> dirty.(k).(i) then
+            fail "step %d: %s[%d] dirty bit" step (A.name s) i;
+          if Memory.Dirty.is_dirty watchers.(k) i <> watched.(k).(i) then
+            fail "step %d: %s[%d] watcher bit" step (A.name s) i;
+          let rs, rj = A.resolve s i in
+          if not (rs == root && rj = ri) then fail "step %d: resolve %s %d" step (A.name s) i
+        done;
+        match A.check_invariants s with Ok () -> () | Error e -> fail "step %d: %s" step e)
+      spaces;
+    let counted = Option.value ~default:0. (Sim.Telemetry.value tel "memory_cow_breaks_total") in
+    if int_of_float counted <> !breaks then
+      fail "step %d: %.0f cow breaks, model %d" step counted !breaks
+  in
+  for step = 1 to 300 do
+    let k = Sim.Rng.int r 3 in
+    (match Sim.Rng.int r 5 with
+    | 0 ->
+      let i = page k and c = Memory.Page.Content.of_int (Sim.Rng.int r 6) in
+      ignore (Memory.Address_space.write spaces.(k) i c);
+      store k i c
+    | 1 ->
+      let i = page k and salt = Sim.Rng.int r 4 in
+      ignore (Memory.Address_space.mutate spaces.(k) i ~salt);
+      store k i (Memory.Page.Content.mutate content.(bases.(k) + i) ~salt)
+    | 2 ->
+      let k' = Sim.Rng.int r 3 in
+      let i = page k and j = page k' in
+      let c = content.(bases.(k) + i) in
+      ignore (Memory.Address_space.copy ~src:spaces.(k) i ~dst:spaces.(k') j);
+      store k' j c
+    | 3 ->
+      let i = page 0 and j = page 0 in
+      Memory.Address_space.remap root i (Memory.Address_space.frame_at root j);
+      content.(i) <- content.(j);
+      group.(i) <- group.(j)
+    | _ ->
+      Memory.Dirty.clear (Memory.Address_space.dirty spaces.(k));
+      Array.fill dirty.(k) 0 sizes.(k) false);
+    check step
+  done;
+  match !failure with
+  | None -> true
+  | Some m -> QCheck.Test.fail_reportf "seed %d: %s" seed m
+
 let mem_props =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"flat windows agree with a flat-array model" ~count:100
+         QCheck.(small_int)
+         flat_window_model);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"dirty bitset agrees with a naive bool-array model under random interleavings"
@@ -1077,6 +1261,7 @@ let () =
       ("frame_table", frame_tests);
       ("dirty", dirty_tests);
       ("address_space", space_tests);
+      ("page_path", primitive_tests);
       ("write_watchers", watcher_tests);
       ("ksm", ksm_tests);
       ("ksm_incremental", incremental_tests);
