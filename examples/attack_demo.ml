@@ -55,7 +55,7 @@ let () =
   (match Vmm.Vm.node victim with
   | Some node -> Net.Fabric.Node.listen node 22 (fun _ -> incr got)
   | None -> ());
-  let user = Net.Fabric.Node.create engine ~name:"customer" ~addr:"203.0.113.5" in
+  let user = Net.Fabric.Node.create ~addr:"203.0.113.5" in
   Net.Fabric.Node.attach user uplink;
   Net.Fabric.Node.send user ~via:uplink
     (Net.Packet.make ~id:1
@@ -95,7 +95,7 @@ let () =
   let stats =
     Cloudskulk.Services.rewrite_traffic ritm ~port:80 ~pattern:"BUY" ~replacement:"SELL"
   in
-  let exchange = Net.Fabric.Node.create engine ~name:"exchange" ~addr:"203.0.113.80" in
+  let exchange = Net.Fabric.Node.create ~addr:"203.0.113.80" in
   Net.Fabric.Node.attach exchange uplink;
   let received = ref "" in
   Net.Fabric.Node.listen exchange 80 (fun p -> received := p.Net.Packet.payload);

@@ -175,18 +175,13 @@ let run ?config ctx ~host ~registry ~target_name =
       | Vmm.Monitor.Quit ->
         teardown_guestx "monitor migrate: unexpected quit"
       | Vmm.Monitor.Ok_text _ -> (
-        let pre_outcome, post_outcome =
+        let precopy, postcopy, migration_outcome =
           match Migration.Wiring.last_result wiring with
-          | Some (p, q) -> (p, q)
-          | None -> (None, None)
-        in
-        let precopy = Option.bind pre_outcome Migration.Outcome.stats in
-        let postcopy = Option.bind post_outcome Migration.Outcome.stats in
-        let migration_outcome =
-          match (pre_outcome, post_outcome) with
-          | Some o, _ -> Migration.Outcome.describe o
-          | None, Some o -> Migration.Outcome.describe o
-          | None, None -> "completed"
+          | Some (Migration.Wiring.Pre_copied o) ->
+            (Migration.Outcome.stats o, None, Migration.Outcome.describe o)
+          | Some (Migration.Wiring.Post_copied o) ->
+            (None, Migration.Outcome.stats o, Migration.Outcome.describe o)
+          | None -> (None, None, "completed")
         in
         record Live_migration s migrate_cmd;
         (* Clean-up: kill the husk, re-point forwards, spoof, blend in. *)

@@ -8,14 +8,11 @@ let now ritm = Sim.Engine.now ritm.Ritm.engine
 
 (* {2 Packet capture} *)
 
-type sniffer = {
-  sniffer_tap : string;
-  mutable captured : capture list;
-}
+type sniffer = { mutable captured : capture list }
 
 let start_packet_capture ritm =
-  let s = { sniffer_tap = "cs-sniffer"; captured = [] } in
-  Net.Fabric.Node.add_tap (Ritm.guestx_node ritm) ~name:s.sniffer_tap (fun packet ->
+  let s = { captured = [] } in
+  Net.Fabric.Node.add_tap (Ritm.guestx_node ritm) (fun packet ->
       let c =
         { at = now ritm; packet; observed_payload = Net.Packet.visible_payload packet }
       in
@@ -28,15 +25,14 @@ let captures s = List.rev s.captured
 (* {2 Keylogger} *)
 
 type keylogger = {
-  keylogger_tap : string;
   key_ports : int list;
   mutable keys : string list;
 }
 
 let start_keylogger ritm ~ports =
-  let k = { keylogger_tap = "cs-keylogger"; key_ports = ports; keys = [] } in
+  let k = { key_ports = ports; keys = [] } in
   let node = Ritm.guestx_node ritm in
-  Net.Fabric.Node.add_tap node ~name:k.keylogger_tap (fun packet ->
+  Net.Fabric.Node.add_tap node (fun packet ->
       (* inbound victim traffic arrives pre-NAT (e.g. on forwarded port
          2222); resolve through GuestX's own forward table to the port
          the victim will actually see *)
@@ -114,9 +110,7 @@ let replace_all ~pattern ~replacement s =
 
 let drop_traffic ritm ~port =
   let stats = { dropped = 0; rewritten = 0 } in
-  Net.Fabric.Node.add_tap (Ritm.guestx_node ritm)
-    ~name:(Printf.sprintf "cs-drop-%d" port)
-    (fun packet ->
+  Net.Fabric.Node.add_tap (Ritm.guestx_node ritm) (fun packet ->
       if packet.Net.Packet.dst.Net.Packet.port = port then begin
         stats.dropped <- stats.dropped + 1;
         Net.Fabric.Drop
@@ -126,9 +120,7 @@ let drop_traffic ritm ~port =
 
 let rewrite_traffic ritm ~port ~pattern ~replacement =
   let stats = { dropped = 0; rewritten = 0 } in
-  Net.Fabric.Node.add_tap (Ritm.guestx_node ritm)
-    ~name:(Printf.sprintf "cs-rewrite-%d" port)
-    (fun packet ->
+  Net.Fabric.Node.add_tap (Ritm.guestx_node ritm) (fun packet ->
       let matches_port = packet.Net.Packet.dst.Net.Packet.port = port in
       if matches_port && not packet.Net.Packet.encrypted then begin
         let payload = replace_all ~pattern ~replacement packet.Net.Packet.payload in

@@ -49,8 +49,9 @@ val migrate :
   dest:Vmm.Vm.t ->
   unit ->
   (result Outcome.t, string) Stdlib.result
-(** Same preconditions as {!Precopy.migrate}; [Error] is reserved for
-    precondition failures and has no side effects.
+(** Same preconditions as {!Precopy.migrate}, checked by the same code,
+    so the [Error] text is the same as pre-copy's; [Error] is reserved
+    for precondition failures and has no side effects.
 
     Failure semantics differ by phase. A channel failure during the
     phase-1 working-set push (the destination has not resumed yet)

@@ -47,38 +47,6 @@ type result = {
   max_throttle : float;
 }
 
-let pow base n =
-  let rec go acc n = if n <= 0 then acc else go (acc *. base) (n - 1) in
-  go 1.0 n
-
-(* The effective channel: derated once per destination nesting level
-   beyond an ordinary L1 guest (writing received pages into a nested
-   VM's RAM traps to the levels below). *)
-let effective_link config ~dest_level =
-  let extra = max 0 (Vmm.Level.to_int dest_level - 1) in
-  Net.Link.scale_bandwidth config.link (pow config.nested_dest_derate extra)
-
-let validate ~source ~dest =
-  let open Vmm in
-  if not (List.mem (Vm.state source) [ Vm.Running; Vm.Paused ]) then
-    Error
-      (Printf.sprintf "source %s is %s, not running/paused" (Vm.name source)
-         (Vm.state_to_string (Vm.state source)))
-  else if Vm.state dest <> Vm.Incoming then
-    Error
-      (Printf.sprintf "destination %s is %s, not in incoming state" (Vm.name dest)
-         (Vm.state_to_string (Vm.state dest)))
-  else
-    match
-      Qemu_config.migration_compatible ~source:(Vm.config source) ~dest:(Vm.config dest)
-    with
-    | Error e -> Error ("incompatible configurations: " ^ e)
-    | Ok () ->
-      let sp = Memory.Address_space.pages (Vm.ram source) in
-      let dp = Memory.Address_space.pages (Vm.ram dest) in
-      if sp <> dp then Error (Printf.sprintf "RAM size mismatch: %d vs %d pages" sp dp)
-      else Ok ()
-
 (* A round's page set, exposed as a fold so dirty rounds can walk a
    drained bitmap directly instead of materialising an index list. *)
 type page_set = {
@@ -136,87 +104,27 @@ let copy_pages ~source ~dest ~sent_before pages =
       Memory.Dirty.set sent_before i)
     ()
 
-(* Channel failure mid-migration; carries the QEMU-style abort reason. *)
-exception Abort of Outcome.reason
-
 let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
-  let engine = Sim.Ctx.engine ctx in
-  match validate ~source ~dest with
+  match
+    Session.start ?fault ctx ~driver:"precopy" ~link:config.link
+      ~nested_dest_derate:config.nested_dest_derate ~max_retransmits:config.max_retransmits
+      ~source ~dest
+  with
   | Error e -> Error e
-  | Ok () ->
-    let telemetry = Vmm.Vm.telemetry source in
-    let driver_label = [ ("driver", "precopy") ] in
-    let mig name =
-      Sim.Telemetry.counter telemetry ~labels:driver_label ~component:"migration" name
-    in
-    let m_rounds = mig "rounds_total" in
-    let m_pages = mig "pages_sent_total" in
-    let m_bytes = mig "bytes_sent_total" in
-    let m_retransmits = mig "retransmits_total" in
-    let m_outages = mig "outages_total" in
-    let h_round =
-      Sim.Telemetry.histogram telemetry ~labels:driver_label ~component:"migration"
-        ~buckets:[ 0.001; 0.01; 0.1; 1.; 10.; 100. ]
-        "round_duration_seconds"
-    in
-    let note_outcome outcome =
-      Sim.Telemetry.incr
-        (Sim.Telemetry.counter telemetry
-           ~labels:[ ("driver", "precopy"); ("outcome", outcome) ]
-           ~component:"migration" "outcomes_total")
-    in
-    let link = effective_link config ~dest_level:(Vmm.Vm.level dest) in
+  | Ok s ->
+    let engine = Sim.Ctx.engine ctx in
+    let link = Session.link s in
     let sram = Vmm.Vm.ram source in
     let dirty = Memory.Address_space.dirty sram in
     (* drop any stale cancel left over from before this migration *)
     ignore (Vmm.Vm.take_migrate_cancel source);
-    let retransmissions = ref 0 and outages = ref 0 in
-    let stalled = ref Sim.Time.zero in
-    let we_paused = ref false in
     let check_cancel round =
-      if Vmm.Vm.take_migrate_cancel source then raise (Abort (Outcome.Cancelled round))
+      if Vmm.Vm.take_migrate_cancel source then
+        raise (Session.Abort (Outcome.Cancelled round))
     in
-    (* Put [base] worth of data on the wire. Without an injector this is
-       exactly [run_for base] - the historical assume-success path, same
-       virtual time, zero extra RNG draws. With one, the transmission is
-       jittered/degraded and may be severed; a severed transmission
-       waits out the outage, backs off exponentially, and retransmits,
-       up to [max_retransmits] times and bounded by [round_timeout]. *)
     let transmit ~round base =
-      match fault with
-      | None -> ignore (Sim.Engine.run_for engine base)
-      | Some f ->
-        let deadline =
-          Option.map (fun d -> Sim.Time.add (Sim.Engine.now engine) d) config.round_timeout
-        in
-        let check_deadline () =
-          match deadline with
-          | Some d when Sim.Time.(Sim.Engine.now engine > d) ->
-            raise (Abort (Outcome.Round_timeout round))
-          | Some _ | None -> ()
-        in
-        let rec attempt retry =
-          let duration = Sim.Time.mul base (Sim.Fault.transmission_factor f) in
-          match Sim.Fault.cut f ~now:(Sim.Engine.now engine) ~during:duration with
-          | None -> ignore (Sim.Engine.run_for engine duration)
-          | Some (after, outage) ->
-            incr outages;
-            Sim.Telemetry.incr m_outages;
-            stalled := Sim.Time.add !stalled outage;
-            (* the wire died [after] into the transmission; sit out the
-               repair, then back off before the retransmit *)
-            ignore (Sim.Engine.run_for engine (Sim.Time.add after outage));
-            if retry >= config.max_retransmits then raise (Abort (Outcome.Channel_down round));
-            check_deadline ();
-            incr retransmissions;
-            Sim.Telemetry.incr m_retransmits;
-            let backoff = Sim.Time.mul config.retransmit_backoff (pow 2. retry) in
-            stalled := Sim.Time.add !stalled backoff;
-            ignore (Sim.Engine.run_for engine backoff);
-            check_deadline ();
-            attempt (retry + 1)
-        in
-        attempt 0
+      Session.transmit s ?timeout:config.round_timeout ~backoff:config.retransmit_backoff
+        ~round base
     in
     (* pages the destination has already received at least once - the
        XBZRLE cache's reach *)
@@ -243,163 +151,84 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
       let duration = Sim.Time.diff (Sim.Engine.now engine) round_started in
       copy_pages ~source ~dest ~sent_before pages;
       let dirtied_during = Memory.Dirty.dirty_count dirty in
-      Sim.Telemetry.incr m_rounds;
-      Sim.Telemetry.add m_pages pages.page_count;
-      Sim.Telemetry.add m_bytes bytes;
-      Sim.Telemetry.observe h_round (Sim.Time.to_s duration);
-      if Sim.Telemetry.enabled telemetry then
-        Sim.Telemetry.span telemetry ~component:"migration" ~name:"round"
-          ~start:round_started ~stop:(Sim.Engine.now engine)
-          ~fields:
-            [
-              ("driver", "precopy");
-              ("round", string_of_int round);
-              ("pages_sent", string_of_int pages.page_count);
-              ("bytes_sent", string_of_int bytes);
-              ("dirtied_during", string_of_int dirtied_during);
-            ]
-          ();
+      Session.round s ~name:"round" ~round ~start:round_started ~pages:pages.page_count ~bytes
+        ~fields:[ ("dirtied_during", string_of_int dirtied_during) ]
+        ();
       { round; pages_sent = pages.page_count; bytes_sent = bytes; duration; dirtied_during }
     in
-    (try
-       (* Round 1: the full RAM; later rounds: what got dirtied. *)
-       Memory.Dirty.clear dirty;
-       let first = run_round ~round:1 (all_pages sram) in
-       let max_throttle = ref 0. in
-       let throttle_source round =
-         (* QEMU's schedule: engage at 20 %, then +10 % per further
-            non-converging round, capped at 99 % *)
-         if config.auto_converge && round >= 3 then begin
-           let step = 0.2 +. (0.1 *. float_of_int (round - 3)) in
-           let value = Float.min 0.99 step in
-           Vmm.Vm.set_cpu_throttle source value;
-           if value > !max_throttle then max_throttle := value
-         end
-       in
-       let rec iterate acc round =
-         check_cancel round;
-         let dirty_now = Memory.Dirty.dirty_count dirty in
-         if dirty_now <= downtime_page_budget then (acc, true)
-         else if round > config.max_rounds then (acc, false)
-         else begin
-           throttle_source round;
-           Memory.Dirty.drain dirty ~into:round_set;
-           let stat = run_round ~round (dirty_pages round_set) in
-           iterate (stat :: acc) (round + 1)
-         end
-       in
-       let later, converged = iterate [] 2 in
-       let final_round = List.length later + 2 in
-       Vmm.Vm.set_cpu_throttle source 0.;
-       (* Stop-and-copy: pause the source, move the final dirty set. *)
-       let pause_result =
-         match Vmm.Vm.state source with
-         | Vmm.Vm.Running ->
-           we_paused := true;
-           Vmm.Vm.pause source
-         | Vmm.Vm.Paused | Vmm.Vm.Created | Vmm.Vm.Incoming | Vmm.Vm.Stopped -> Ok ()
-       in
-       (match pause_result with
-       | Ok () -> ()
-       | Error e -> invalid_arg ("precopy: pausing source: " ^ e));
-       Memory.Dirty.drain dirty ~into:round_set;
-       let final_set = dirty_pages round_set in
-       let final_bytes = wire_bytes config ~source ~sent_before final_set in
-       let device_state_bytes = 512 * 1024 in
-       let downtime_started = Sim.Engine.now engine in
-       transmit ~round:final_round
-         (Net.Link.transfer_time link (final_bytes + device_state_bytes));
-       let downtime = Sim.Time.diff (Sim.Engine.now engine) downtime_started in
-       copy_pages ~source ~dest ~sent_before final_set;
-       Sim.Telemetry.incr m_rounds;
-       Sim.Telemetry.add m_pages final_set.page_count;
-       Sim.Telemetry.add m_bytes final_bytes;
-       Sim.Telemetry.observe h_round (Sim.Time.to_s downtime);
-       if Sim.Telemetry.enabled telemetry then
-         Sim.Telemetry.span telemetry ~component:"migration" ~name:"stop_and_copy"
-           ~start:downtime_started ~stop:(Sim.Engine.now engine)
-           ~fields:
-             [
-               ("driver", "precopy");
-               ("round", string_of_int final_round);
-               ("pages_sent", string_of_int final_set.page_count);
-               ("bytes_sent", string_of_int final_bytes);
+    Ok
+      (try
+         (* Round 1: the full RAM; later rounds: what got dirtied. *)
+         Memory.Dirty.clear dirty;
+         let first = run_round ~round:1 (all_pages sram) in
+         let max_throttle = ref 0. in
+         let throttle_source round =
+           (* QEMU's schedule: engage at 20 %, then +10 % per further
+              non-converging round, capped at 99 % *)
+           if config.auto_converge && round >= 3 then begin
+             let step = 0.2 +. (0.1 *. float_of_int (round - 3)) in
+             let value = Float.min 0.99 step in
+             Vmm.Vm.set_cpu_throttle source value;
+             if value > !max_throttle then max_throttle := value
+           end
+         in
+         let rec iterate acc round =
+           check_cancel round;
+           let dirty_now = Memory.Dirty.dirty_count dirty in
+           if dirty_now <= downtime_page_budget then (acc, true)
+           else if round > config.max_rounds then (acc, false)
+           else begin
+             throttle_source round;
+             Memory.Dirty.drain dirty ~into:round_set;
+             let stat = run_round ~round (dirty_pages round_set) in
+             iterate (stat :: acc) (round + 1)
+           end
+         in
+         let later, converged = iterate [] 2 in
+         let final_round = List.length later + 2 in
+         Vmm.Vm.set_cpu_throttle source 0.;
+         (* Stop-and-copy: pause the source, move the final dirty set. *)
+         Session.pause_source s;
+         Memory.Dirty.drain dirty ~into:round_set;
+         let final_set = dirty_pages round_set in
+         let final_bytes = wire_bytes config ~source ~sent_before final_set in
+         let device_state_bytes = 512 * 1024 in
+         let downtime_started = Sim.Engine.now engine in
+         transmit ~round:final_round
+           (Net.Link.transfer_time link (final_bytes + device_state_bytes));
+         let downtime = Sim.Time.diff (Sim.Engine.now engine) downtime_started in
+         copy_pages ~source ~dest ~sent_before final_set;
+         Session.round s ~name:"stop_and_copy" ~round:final_round ~start:downtime_started
+           ~pages:final_set.page_count ~bytes:final_bytes ();
+         Session.hand_over s;
+         let rounds =
+           first :: List.rev later
+           @ [
+               {
+                 round = final_round;
+                 pages_sent = final_set.page_count;
+                 bytes_sent = final_bytes;
+                 duration = downtime;
+                 dirtied_during = 0;
+               };
              ]
-           ();
-       (* The destination takes over the guest's identity. *)
-       Vmm.Vm.adopt_guest_state dest ~from:source;
-       (match Vmm.Vm.complete_incoming dest with
-       | Ok () -> ()
-       | Error e -> invalid_arg ("precopy: completing incoming: " ^ e));
-       let rounds =
-         first :: List.rev later
-         @ [
-             {
-               round = final_round;
-               pages_sent = final_set.page_count;
-               bytes_sent = final_bytes;
-               duration = downtime;
-               dirtied_during = 0;
-             };
-           ]
-       in
-       let total_pages_sent = List.fold_left (fun a r -> a + r.pages_sent) 0 rounds in
-       let total_bytes_sent = List.fold_left (fun a r -> a + r.bytes_sent) 0 rounds in
-       let stats =
-         {
-           rounds;
-           total_pages_sent;
-           total_bytes_sent;
-           downtime;
-           total_time = Sim.Time.diff (Sim.Engine.now engine) started;
-           converged;
-           max_throttle = !max_throttle;
-         }
-       in
-       let outcome_label = if !retransmissions = 0 && !outages = 0 then "completed" else "recovered" in
-       note_outcome outcome_label;
-       if Sim.Telemetry.enabled telemetry then
-         Sim.Telemetry.span telemetry ~component:"migration" ~name:"migrate"
-           ~start:started ~stop:(Sim.Engine.now engine)
+         in
+         let total_pages_sent = List.fold_left (fun a r -> a + r.pages_sent) 0 rounds in
+         let total_bytes_sent = List.fold_left (fun a r -> a + r.bytes_sent) 0 rounds in
+         Session.finish s
            ~fields:
              [
-               ("driver", "precopy");
-               ("outcome", outcome_label);
                ("rounds", string_of_int (List.length rounds));
                ("pages_sent", string_of_int total_pages_sent);
                ("bytes_sent", string_of_int total_bytes_sent);
              ]
-           ();
-       Ok
-         (if !retransmissions = 0 && !outages = 0 then Outcome.Completed stats
-          else
-            Outcome.Recovered
-              ( stats,
-                {
-                  Outcome.retransmissions = !retransmissions;
-                  outages = !outages;
-                  stalled = !stalled;
-                } ))
-     with Abort reason ->
-       (* QEMU failure semantics: the migration is torn down, the source
-          resumes (it still owns the guest), the destination stays
-          parked in [Incoming] and never adopts the identity. *)
-       Vmm.Vm.set_cpu_throttle source 0.;
-       if !we_paused && Vmm.Vm.state source = Vmm.Vm.Paused then
-         ignore (Vmm.Vm.resume source);
-       note_outcome "aborted";
-       if Sim.Telemetry.enabled telemetry then
-         Sim.Telemetry.span telemetry ~component:"migration" ~name:"migrate"
-           ~start:started ~stop:(Sim.Engine.now engine)
-           ~fields:
-             [ ("driver", "precopy"); ("outcome", "aborted");
-               ("reason", Outcome.reason_to_string reason) ]
-           ();
-       Ok
-         (Outcome.Aborted
-            {
-              reason;
-              source_resumed = Vmm.Vm.state source = Vmm.Vm.Running;
-              retransmissions = !retransmissions;
-              stalled = !stalled;
-            }))
+           {
+             rounds;
+             total_pages_sent;
+             total_bytes_sent;
+             downtime;
+             total_time = Sim.Time.diff (Sim.Engine.now engine) started;
+             converged;
+             max_throttle = !max_throttle;
+           }
+       with Session.Abort reason -> Session.abort s reason)

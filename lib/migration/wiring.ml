@@ -5,10 +5,11 @@ type strategy =
 (* One wiring per source VM; its outcome lives on the handle the caller
    got back, never in module-level state (which parallel trial domains
    would share - trials routinely reuse VM names). *)
-type t = {
-  mutable last :
-    (Precopy.result Outcome.t option * Postcopy.result Outcome.t option) option;
-}
+type outcome =
+  | Pre_copied of Precopy.result Outcome.t
+  | Post_copied of Postcopy.result Outcome.t
+
+type t = { mutable last : outcome option }
 
 let fault_counters outcome =
   match outcome with
@@ -20,6 +21,14 @@ let fault_counters outcome =
   | Outcome.Aborted a ->
     Printf.sprintf "\nretransmissions: %d\nstalled: %s" a.retransmissions
       (Sim.Time.to_string a.stalled)
+
+(* Whether the destination has taken over the guest (the migration
+   finished, or parked it postcopy-paused), and the abort reason the
+   monitor reports, if any. *)
+let settle = function
+  | Outcome.Completed _ | Outcome.Recovered _ -> (true, None)
+  | Outcome.Aborted { reason = Outcome.Postcopy_paused as reason; _ } -> (true, Some reason)
+  | Outcome.Aborted a -> (false, Some a.reason)
 
 let render_precopy outcome =
   match Outcome.stats outcome with
@@ -52,58 +61,49 @@ let wire_monitor ?(strategy = Pre_copy Precopy.default_config) ?fault ctx ~regis
       match Registry.resolve registry ~addr:host ~port with
       | Error e -> Error e
       | Ok dest -> (
-        let outcome =
+        let ran =
           match strategy with
-          | Pre_copy config -> (
-            match Precopy.migrate ~config ?fault ctx ~source ~dest () with
-            | Ok o ->
-              Vmm.Vm.set_migration_stats source (render_precopy o);
-              Ok (Some o, None, o |> Outcome.completed)
-            | Error e -> Error e)
-          | Post_copy config -> (
-            match Postcopy.migrate ~config ?fault ctx ~source ~dest () with
-            | Ok o ->
-              Vmm.Vm.set_migration_stats source (render_postcopy o);
-              (* a postcopy-paused destination carries its own status,
-                 and its recover closure refreshes it on success *)
-              (match o with
-              | Outcome.Aborted { reason = Outcome.Postcopy_paused; _ } ->
-                Vmm.Vm.set_migration_stats dest
-                  "Migration status: postcopy-paused (migrate_recover to resume)";
-                (match Vmm.Vm.recover_handler dest with
-                | None -> ()
-                | Some h ->
-                  Vmm.Vm.set_recover_handler dest
-                    (Some
-                       (fun () ->
-                         match h () with
-                         | Error e -> Error e
-                         | Ok () ->
-                           Vmm.Vm.set_migration_stats dest
-                             "Migration status: completed (via migrate_recover)";
-                           Ok ())))
-              | Outcome.Completed _ | Outcome.Recovered _ | Outcome.Aborted _ -> ());
-              let handed_over =
-                Outcome.completed o
-                ||
-                match o with
-                | Outcome.Aborted { reason = Outcome.Postcopy_paused; _ } -> true
-                | _ -> false
-              in
-              Ok (None, Some o, handed_over)
-            | Error e -> Error e)
+          | Pre_copy config ->
+            Result.map
+              (fun o ->
+                Vmm.Vm.set_migration_stats source (render_precopy o);
+                Pre_copied o)
+              (Precopy.migrate ~config ?fault ctx ~source ~dest ())
+          | Post_copy config ->
+            Result.map
+              (fun o ->
+                Vmm.Vm.set_migration_stats source (render_postcopy o);
+                (* a postcopy-paused destination carries its own status,
+                   and its recover closure refreshes it on success *)
+                (match o with
+                | Outcome.Aborted { reason = Outcome.Postcopy_paused; _ } ->
+                  Vmm.Vm.set_migration_stats dest
+                    "Migration status: postcopy-paused (migrate_recover to resume)";
+                  (match Vmm.Vm.recover_handler dest with
+                  | None -> ()
+                  | Some h ->
+                    Vmm.Vm.set_recover_handler dest
+                      (Some
+                         (fun () ->
+                           match h () with
+                           | Error e -> Error e
+                           | Ok () ->
+                             Vmm.Vm.set_migration_stats dest
+                               "Migration status: completed (via migrate_recover)";
+                             Ok ())))
+                | Outcome.Completed _ | Outcome.Recovered _ | Outcome.Aborted _ -> ());
+                Post_copied o)
+              (Postcopy.migrate ~config ?fault ctx ~source ~dest ())
         in
-        match outcome with
+        match ran with
         | Error e -> Error e
-        | Ok (pre, post, handed_over) ->
-          wiring.last <- Some (pre, post);
-          if handed_over then Registry.unregister registry ~addr:host ~port;
-          let aborted =
-            match (pre, post) with
-            | Some (Outcome.Aborted a), _ | _, Some (Outcome.Aborted a) -> Some a.reason
-            | _ -> None
+        | Ok last -> (
+          wiring.last <- Some last;
+          let handed_over, aborted =
+            match last with Pre_copied o -> settle o | Post_copied o -> settle o
           in
-          (match aborted with
+          if handed_over then Registry.unregister registry ~addr:host ~port;
+          match aborted with
           | Some reason -> Error (Outcome.reason_to_string reason)
           | None -> Ok ())));
   wiring

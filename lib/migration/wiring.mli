@@ -37,7 +37,10 @@ val wire_monitor :
     postcopy-paused destination gets its own status line, and its
     [migrate_recover] closure is wrapped to refresh it on success. *)
 
-val last_result :
-  t -> (Precopy.result Outcome.t option * Postcopy.result Outcome.t option) option
+type outcome =
+  | Pre_copied of Precopy.result Outcome.t
+  | Post_copied of Postcopy.result Outcome.t  (** one constructor per driver *)
+
+val last_result : t -> outcome option
 (** Outcome of the most recent migration performed through this wiring,
-    if any ([fst] set for pre-copy, [snd] for post-copy). *)
+    if any, tagged with the driver that ran it. *)

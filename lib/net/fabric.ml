@@ -6,12 +6,10 @@ type tap_action =
 type tap = Packet.t -> tap_action
 
 type node = {
-  node_engine : Sim.Engine.t;
-  node_name : string;
   node_addr : Packet.addr;
   handlers : (Packet.port, Packet.t -> unit) Hashtbl.t;
   forwards : (Packet.port, Packet.endpoint * switch) Hashtbl.t;
-  mutable taps : (string * tap) list;
+  mutable taps : tap list;
   mutable unhandled : int;
 }
 
@@ -52,7 +50,7 @@ let rec deliver node packet =
 and apply_taps taps packet =
   match taps with
   | [] -> Some packet
-  | (_, tap) :: rest -> (
+  | tap :: rest -> (
     match tap packet with
     | Forward -> apply_taps rest packet
     | Drop -> None
@@ -173,10 +171,8 @@ end
 module Node = struct
   type t = node
 
-  let create engine ~name ~addr =
+  let create ~addr =
     {
-      node_engine = engine;
-      node_name = name;
       node_addr = addr;
       handlers = Hashtbl.create 8;
       forwards = Hashtbl.create 8;
@@ -199,11 +195,9 @@ module Node = struct
   let forwards t =
     Hashtbl.fold (fun port (to_, _) acc -> (port, to_) :: acc) t.forwards []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  let add_tap t ~name tap = t.taps <- t.taps @ [ (name, tap) ]
+  let add_tap t tap = t.taps <- t.taps @ [ tap ]
 
-  let send t ~via packet =
-    ignore t.node_engine;
-    switch_send via packet
+  let send (_ : t) ~via packet = switch_send via packet
 
   let route_through t packet = apply_taps t.taps packet
 

@@ -73,7 +73,7 @@ end
 module Node : sig
   type t = node
 
-  val create : Sim.Engine.t -> name:string -> addr:Packet.addr -> t
+  val create : addr:Packet.addr -> t
   val addr : t -> Packet.addr
 
   val attach : t -> switch -> unit
@@ -102,7 +102,7 @@ module Node : sig
   (** All installed NAT rules, sorted by port - what an auditor reads
       out of the host's iptables. *)
 
-  val add_tap : t -> name:string -> tap -> unit
+  val add_tap : t -> tap -> unit
   (** Taps run in installation order on every arriving packet, before
       NAT and port handlers. The first [Drop] wins; [Rewrite] feeds the
       modified packet to the next tap. *)

@@ -40,9 +40,9 @@ let run ctx ~link ?(derate = 1.) ?(chunk_bytes = 65536) ?(burst_chunks = 16) ?(n
   (* Fault-free path: one engine event per burst of up to [burst_chunks]
      chunks, not one per chunk. The per-chunk delays are still computed
      chunk by chunk in stream order - same RNG draws, same Int64
-     additions as the chunk-at-a-time path (Time.add is associative) -
-     so the completion time is bit-identical; only the event count
-     drops from O(chunks) to O(bursts). *)
+     additions as one event per chunk would make (Time.add is
+     associative) - so the completion time is bit-identical; only the
+     event count drops from O(chunks) to O(bursts). *)
   let rec send_burst remaining =
     if remaining <= 0 then finished := Some (Sim.Engine.now engine)
     else begin
@@ -59,38 +59,33 @@ let run ctx ~link ?(derate = 1.) ?(chunk_bytes = 65536) ?(burst_chunks = 16) ?(n
       ignore (Sim.Engine.schedule_after engine !delay (fun () -> send_burst next))
     end
   in
-  let rec send_chunk remaining =
+  let rec send_chunk f remaining =
     if remaining <= 0 then finished := Some (Sim.Engine.now engine)
     else begin
       let this = min chunk_bytes remaining in
-      let base = chunk_base this in
-      match fault with
-      | None ->
-        ignore (Sim.Engine.schedule_after engine base (fun () -> send_chunk (remaining - this)))
-      | Some f ->
-        let delay = Sim.Time.mul base (Sim.Fault.chunk_jitter f) in
-        if Sim.Fault.drops_chunk f then begin
-          (* the chunk's serialisation time is spent, the loss is noticed
-             one RTO (2x latency) later, and the chunk goes again *)
+      let delay = Sim.Time.mul (chunk_base this) (Sim.Fault.chunk_jitter f) in
+      if Sim.Fault.drops_chunk f then begin
+        (* the chunk's serialisation time is spent, the loss is noticed
+           one RTO (2x latency) later, and the chunk goes again *)
+        incr retransmits;
+        let stall = Sim.Time.add delay (Sim.Time.mul link.Link.latency 2.) in
+        ignore (Sim.Engine.schedule_after engine stall (fun () -> send_chunk f remaining))
+      end
+      else begin
+        match Sim.Fault.cut f ~now:(Sim.Engine.now engine) ~during:delay with
+        | Some (after, outage) ->
+          (* the link died mid-chunk: wait out the repair, resend *)
           incr retransmits;
-          let stall = Sim.Time.add delay (Sim.Time.mul link.Link.latency 2.) in
-          ignore (Sim.Engine.schedule_after engine stall (fun () -> send_chunk remaining))
-        end
-        else begin
-          match Sim.Fault.cut f ~now:(Sim.Engine.now engine) ~during:delay with
-          | Some (after, outage) ->
-            (* the link died mid-chunk: wait out the repair, resend *)
-            incr retransmits;
-            link_downtime := Sim.Time.add !link_downtime outage;
-            let stall = Sim.Time.add after outage in
-            ignore (Sim.Engine.schedule_after engine stall (fun () -> send_chunk remaining))
-          | None ->
-            ignore
-              (Sim.Engine.schedule_after engine delay (fun () -> send_chunk (remaining - this)))
-        end
+          link_downtime := Sim.Time.add !link_downtime outage;
+          let stall = Sim.Time.add after outage in
+          ignore (Sim.Engine.schedule_after engine stall (fun () -> send_chunk f remaining))
+        | None ->
+          ignore
+            (Sim.Engine.schedule_after engine delay (fun () -> send_chunk f (remaining - this)))
+      end
     end
   in
-  let transmit = match fault with None -> send_burst | Some _ -> send_chunk in
+  let transmit = match fault with None -> send_burst | Some f -> send_chunk f in
   ignore (Sim.Engine.schedule_after engine link.Link.latency (fun () -> transmit bytes));
   let rec drive () =
     match !finished with

@@ -37,7 +37,7 @@ let create_l0 ?(ram_gb = 16) ?(ksm_config = Memory.Ksm.default_config) ctx ~name
   let capacity_frames = ram_gb * 1024 * 1024 * 1024 / Memory.Page.size_bytes in
   let table = Memory.Frame_table.create ~capacity_frames ctx in
   let switch = Net.Fabric.Switch.create ctx ~name:(name ^ "-br0") ~link:Net.Link.loopback in
-  let gateway = Net.Fabric.Node.create engine ~name:(name ^ "-gw") ~addr in
+  let gateway = Net.Fabric.Node.create ~addr in
   Net.Fabric.Node.attach gateway uplink;
   Net.Fabric.Node.attach gateway switch;
   let processes = Process_table.create engine in
@@ -215,7 +215,7 @@ let launch t (config : Qemu_config.t) =
         Vm.make t.ctx ~config ~level:(Level.deeper t.level) ~ram ~disk ~qemu_pid:proc.pid
           ~addr
       in
-      let node = Net.Fabric.Node.create t.engine ~name:vm_name ~addr in
+      let node = Net.Fabric.Node.create ~addr in
       Net.Fabric.Node.attach node t.switch;
       Vm.set_node vm node;
       install_hostfwd t vm;

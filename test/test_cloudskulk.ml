@@ -157,7 +157,7 @@ let install_tests =
         (match Vmm.Vm.node victim with
         | Some node -> Net.Fabric.Node.listen node 22 (fun p -> got := Some p.Net.Packet.payload)
         | None -> Alcotest.fail "victim has no node");
-        let user = Net.Fabric.Node.create (Sim.Ctx.engine ctx) ~name:"user" ~addr:"203.0.113.5" in
+        let user = Net.Fabric.Node.create ~addr:"203.0.113.5" in
         Net.Fabric.Node.attach user uplink;
         Net.Fabric.Node.send user ~via:uplink
           (Net.Packet.make ~id:1
@@ -325,7 +325,7 @@ let services_tests =
         let stats = Cloudskulk.Services.drop_traffic ritm ~port:25 in
         let delivered = ref 0 in
         let uplink = Vmm.Hypervisor.uplink ritm.Cloudskulk.Ritm.host in
-        let sink = Net.Fabric.Node.create (Sim.Ctx.engine ctx) ~name:"mail" ~addr:"203.0.113.25" in
+        let sink = Net.Fabric.Node.create ~addr:"203.0.113.25" in
         Net.Fabric.Node.attach sink uplink;
         Net.Fabric.Node.listen sink 25 (fun _ -> incr delivered);
         Net.Fabric.Node.listen sink 80 (fun _ -> incr delivered);
@@ -342,7 +342,7 @@ let services_tests =
         in
         let got = ref None in
         let uplink = Vmm.Hypervisor.uplink ritm.Cloudskulk.Ritm.host in
-        let sink = Net.Fabric.Node.create (Sim.Ctx.engine ctx) ~name:"web" ~addr:"203.0.113.80" in
+        let sink = Net.Fabric.Node.create ~addr:"203.0.113.80" in
         Net.Fabric.Node.attach sink uplink;
         Net.Fabric.Node.listen sink 80 (fun p -> got := Some p.Net.Packet.payload);
         Cloudskulk.Services.victim_send ritm

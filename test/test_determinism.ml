@@ -64,7 +64,7 @@ let forwards_tests =
         let listing order =
           let ctx = Sim.Ctx.create () in
           let sw = Net.Fabric.Switch.create ctx ~name:"sw" ~link:Net.Link.lan_1gbe in
-          let node = Net.Fabric.Node.create (Sim.Ctx.engine ctx) ~name:"n" ~addr:"10.0.0.1" in
+          let node = Net.Fabric.Node.create ~addr:"10.0.0.1" in
           List.iter
             (fun (from_port, addr, port) ->
               Net.Fabric.Node.add_forward node ~from_port

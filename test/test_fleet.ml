@@ -266,7 +266,7 @@ let fabric_tests =
       (fun () ->
         let ctx = Sim.Ctx.create ~seed:3 () in
         let sw = Net.Fabric.Switch.create ctx ~name:"uplink" ~link:Net.Link.lan_1gbe in
-        let node = Net.Fabric.Node.create (Sim.Ctx.engine ctx) ~name:"n1" ~addr:"10.0.0.1" in
+        let node = Net.Fabric.Node.create ~addr:"10.0.0.1" in
         Net.Fabric.Node.attach node sw;
         let got = ref [] in
         Net.Fabric.Switch.set_default_route sw

@@ -28,7 +28,7 @@ let story_tests =
         let ritm = report.Cloudskulk.Install.ritm in
         (* spy: keystrokes over the forwarded SSH path *)
         let kl = Cloudskulk.Services.start_keylogger ritm ~ports:[ 22 ] in
-        let user = Net.Fabric.Node.create (Sim.Ctx.engine ctx) ~name:"user" ~addr:"203.0.113.5" in
+        let user = Net.Fabric.Node.create ~addr:"203.0.113.5" in
         Net.Fabric.Node.attach user uplink;
         Net.Fabric.Node.send user ~via:uplink
           (Net.Packet.make ~id:1

@@ -55,6 +55,22 @@ let registry_tests =
           (Result.is_error (Migration.Registry.resolve reg ~addr:"x" ~port:1)));
   ]
 
+(* Both drivers share one precondition check: each must refuse with the
+   same text and leave both VMs as they were. Returns that text. *)
+let rejected_by_both_drivers ctx ~source ~dest =
+  let states () = (Vmm.Vm.state source, Vmm.Vm.state dest) in
+  let before = states () in
+  let refuse name = function
+    | Ok _ -> Alcotest.fail (name ^ " should refuse")
+    | Error e ->
+      Alcotest.(check bool) (name ^ " leaves both VMs untouched") true (states () = before);
+      e
+  in
+  let pre = refuse "precopy" (Migration.Precopy.migrate ctx ~source ~dest ()) in
+  let post = refuse "postcopy" (Migration.Postcopy.migrate ctx ~source ~dest ()) in
+  Alcotest.(check string) "same error from both drivers" pre post;
+  pre
+
 let precopy_tests =
   [
     Alcotest.test_case "idle migration completes and moves contents" `Quick (fun () ->
@@ -108,9 +124,8 @@ let precopy_tests =
         (* complete once, then try again: dest is now Running *)
         ignore (migrate_exn ctx ~source:mp.mp_source ~dest:mp.mp_dest);
         (match Vmm.Vm.resume mp.mp_source with Ok () -> () | Error e -> Alcotest.fail e);
-        Alcotest.(check bool) "error" true
-          (Result.is_error
-             (Migration.Precopy.migrate ctx ~source:mp.mp_source ~dest:mp.mp_dest ())));
+        Alcotest.(check string) "error" "destination dest is running, not in incoming state"
+          (rejected_by_both_drivers ctx ~source:mp.mp_source ~dest:mp.mp_dest));
     Alcotest.test_case "incompatible configs rejected" `Quick (fun () ->
         let ctx = Sim.Ctx.create () in
         let uplink = Net.Fabric.Switch.create ctx ~name:"up" ~link:Net.Link.lan_1gbe in
@@ -125,11 +140,8 @@ let precopy_tests =
           Vmm.Qemu_config.with_incoming (small_config ~name:"dst" ~memory_mb:16 ()) ~port:5601
         in
         let dst = Result.get_ok (Vmm.Hypervisor.launch host dst_cfg) in
-        match Migration.Precopy.migrate ctx ~source:src ~dest:dst () with
-        | Error e ->
-          Alcotest.(check bool) "mentions memory" true
-            (String.length e > 0)
-        | Ok _ -> Alcotest.fail "should refuse");
+        Alcotest.(check string) "error" "incompatible configurations: memory size differs"
+          (rejected_by_both_drivers ctx ~source:src ~dest:dst));
     Alcotest.test_case "guest identity follows the migration" `Quick (fun () ->
         let mp = mk_pair () in
         Vmm.Vm.set_os_release mp.mp_source "MarkedOS 9.9";
@@ -406,6 +418,31 @@ let fault_tests =
             (Vmm.Vm.state mp.mp_dest = Vmm.Vm.Incoming)
         | Ok o -> Alcotest.fail ("expected channel-down abort, got " ^ Migration.Outcome.describe o)
         | Error e -> Alcotest.fail e);
+    Alcotest.test_case "postcopy aborts when the working-set push stays down" `Quick (fun () ->
+        let mp = mk_pair () in
+        let ctx = mp.Vmm.Layers.mp_ctx in
+        (* the pre-copy case's profile: the phase-1 push is cut and no
+           retries are allowed, so the destination never takes over *)
+        let fault =
+          Sim.Fault.create (outages ~mtbf_ms:1. ~mttr_ms:2000.) (Sim.Ctx.fork_rng ctx)
+        in
+        let config =
+          { Migration.Postcopy.default_config with Migration.Postcopy.max_retransmits = 0 }
+        in
+        match
+          Migration.Postcopy.migrate ~config ~fault ctx ~source:mp.mp_source
+            ~dest:mp.mp_dest ()
+        with
+        | Ok
+            (Migration.Outcome.Aborted
+               { reason = Migration.Outcome.Channel_down 1; source_resumed; _ }) ->
+          Alcotest.(check bool) "source still owns the guest" true source_resumed;
+          Alcotest.(check bool) "source running" true
+            (Vmm.Vm.state mp.mp_source = Vmm.Vm.Running);
+          Alcotest.(check bool) "dest parked in Incoming" true
+            (Vmm.Vm.state mp.mp_dest = Vmm.Vm.Incoming)
+        | Ok o -> Alcotest.fail ("expected channel-down abort, got " ^ Migration.Outcome.describe o)
+        | Error e -> Alcotest.fail e);
     Alcotest.test_case "recovered precopy counts its outages" `Quick (fun () ->
         let mp = mk_pair () in
         let ctx = mp.Vmm.Layers.mp_ctx in
@@ -530,8 +567,8 @@ let wiring_tests =
         | Vmm.Monitor.Quit -> Alcotest.fail "quit");
         Alcotest.(check bool) "dest running" true (Vmm.Vm.state mp.mp_dest = Vmm.Vm.Running);
         (match Migration.Wiring.last_result wiring with
-        | Some (Some _, None) -> ()
-        | _ -> Alcotest.fail "expected precopy result");
+        | Some (Migration.Wiring.Pre_copied _) -> ()
+        | Some (Migration.Wiring.Post_copied _) | None -> Alcotest.fail "expected precopy result");
         Alcotest.(check bool) "endpoint consumed" true
           (Result.is_error (Migration.Registry.resolve reg ~addr:"10.0.0.2" ~port:5601)));
     Alcotest.test_case "post-copy strategy selectable" `Quick (fun () ->
@@ -549,8 +586,8 @@ let wiring_tests =
         | Vmm.Monitor.Error_text e -> Alcotest.fail e
         | Vmm.Monitor.Quit -> Alcotest.fail "quit");
         match Migration.Wiring.last_result wiring with
-        | Some (None, Some _) -> ()
-        | _ -> Alcotest.fail "expected postcopy result");
+        | Some (Migration.Wiring.Post_copied _) -> ()
+        | Some (Migration.Wiring.Pre_copied _) | None -> Alcotest.fail "expected postcopy result");
     Alcotest.test_case "unresolvable endpoint surfaces as monitor error" `Quick (fun () ->
         let mp = mk_pair () in
         let reg = Migration.Registry.create () in

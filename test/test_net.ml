@@ -89,7 +89,7 @@ let fabric_tests =
   [
     Alcotest.test_case "delivery to listening port" `Quick (fun () ->
         let e, sw = mk_world () in
-        let n = Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"10.0.0.1" in
+        let n = Node.create ~addr:"10.0.0.1" in
         Node.attach n sw;
         let got = ref None in
         Node.listen n 80 (fun p -> got := Some p.Net.Packet.payload);
@@ -109,7 +109,7 @@ let fabric_tests =
         Alcotest.(check int) "dropped" 1 (Switch.packets_dropped sw));
     Alcotest.test_case "unhandled port counted" `Quick (fun () ->
         let e, sw = mk_world () in
-        let n = Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"10.0.0.1" in
+        let n = Node.create ~addr:"10.0.0.1" in
         Node.attach n sw;
         send_and_run e sw
           (Net.Packet.make ~id:1
@@ -119,8 +119,8 @@ let fabric_tests =
         Alcotest.(check int) "unhandled" 1 (Node.packets_unhandled n));
     Alcotest.test_case "port forward rewrites and relays" `Quick (fun () ->
         let e, sw = mk_world () in
-        let gw = Node.create (Sim.Ctx.engine e) ~name:"gw" ~addr:"192.168.1.100" in
-        let vm = Node.create (Sim.Ctx.engine e) ~name:"vm" ~addr:"10.0.0.5" in
+        let gw = Node.create ~addr:"192.168.1.100" in
+        let vm = Node.create ~addr:"10.0.0.5" in
         Node.attach gw sw;
         Node.attach vm sw;
         Node.add_forward gw ~from_port:2222 ~to_:(Net.Packet.endpoint "10.0.0.5" 22) ~via:sw;
@@ -138,9 +138,9 @@ let fabric_tests =
         let e = engine () in
         let host_sw = Net.Fabric.Switch.create e ~name:"host" ~link:Net.Link.loopback in
         let nested_sw = Net.Fabric.Switch.create e ~name:"nested" ~link:Net.Link.loopback in
-        let gw = Node.create (Sim.Ctx.engine e) ~name:"gw" ~addr:"192.168.1.100" in
-        let guestx = Node.create (Sim.Ctx.engine e) ~name:"guestx" ~addr:"10.0.0.7" in
-        let victim = Node.create (Sim.Ctx.engine e) ~name:"victim" ~addr:"10.1.0.1" in
+        let gw = Node.create ~addr:"192.168.1.100" in
+        let guestx = Node.create ~addr:"10.0.0.7" in
+        let victim = Node.create ~addr:"10.1.0.1" in
         Node.attach gw host_sw;
         Node.attach guestx host_sw;
         Node.attach guestx nested_sw;
@@ -159,14 +159,14 @@ let fabric_tests =
         Alcotest.(check (option string)) "two hops" (Some "ssh login") !got);
     Alcotest.test_case "tap observes, drop kills, rewrite alters" `Quick (fun () ->
         let e, sw = mk_world () in
-        let n = Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"10.0.0.1" in
+        let n = Node.create ~addr:"10.0.0.1" in
         Node.attach n sw;
         let seen = ref [] in
         let got = ref [] in
-        Node.add_tap n ~name:"spy" (fun p ->
+        Node.add_tap n (fun p ->
             seen := p.Net.Packet.payload :: !seen;
             Forward);
-        Node.add_tap n ~name:"filter" (fun p ->
+        Node.add_tap n (fun p ->
             if p.Net.Packet.payload = "bad" then Drop
             else if p.Net.Packet.payload = "fix" then
               Rewrite { p with Net.Packet.payload = "fixed" }
@@ -186,7 +186,7 @@ let fabric_tests =
         Alcotest.(check (list string)) "handler saw filtered" [ "ok"; "fixed" ] (List.rev !got));
     Alcotest.test_case "detach stops delivery" `Quick (fun () ->
         let e, sw = mk_world () in
-        let n = Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"10.0.0.1" in
+        let n = Node.create ~addr:"10.0.0.1" in
         Node.attach n sw;
         Node.detach n sw;
         send_and_run e sw
@@ -196,9 +196,8 @@ let fabric_tests =
              "p");
         Alcotest.(check int) "dropped" 1 (Switch.packets_dropped sw));
     Alcotest.test_case "route_through applies taps without delivering" `Quick (fun () ->
-        let e, _ = mk_world () in
-        let n = Node.create (Sim.Ctx.engine e) ~name:"mb" ~addr:"10.0.0.9" in
-        Node.add_tap n ~name:"rw" (fun p -> Rewrite { p with Net.Packet.payload = "X" });
+        let n = Node.create ~addr:"10.0.0.9" in
+        Node.add_tap n (fun p -> Rewrite { p with Net.Packet.payload = "X" });
         let p =
           Net.Packet.make ~id:1 ~src:(Net.Packet.endpoint "a" 1)
             ~dst:(Net.Packet.endpoint "b" 2) "orig"
@@ -206,13 +205,13 @@ let fabric_tests =
         (match Node.route_through n p with
         | Some q -> Alcotest.(check string) "rewritten" "X" q.Net.Packet.payload
         | None -> Alcotest.fail "dropped");
-        Node.add_tap n ~name:"drop" (fun _ -> Drop);
+        Node.add_tap n (fun _ -> Drop);
         Alcotest.(check bool) "dropped now" true (Node.route_through n p = None));
     Alcotest.test_case "delivery takes link time" `Quick (fun () ->
         let e = engine () in
         let link = Net.Link.make ~latency:(Sim.Time.ms 10.) ~bandwidth_mbytes_per_s:1000. in
         let sw = Net.Fabric.Switch.create e ~name:"slow" ~link in
-        let n = Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"10.0.0.1" in
+        let n = Node.create ~addr:"10.0.0.1" in
         Node.attach n sw;
         let at = ref Sim.Time.zero in
         Node.listen n 80 (fun _ -> at := Sim.Engine.now (Sim.Ctx.engine e));
@@ -336,7 +335,7 @@ let burst_tests =
     Alcotest.test_case "send_burst delivers every packet in order, one event" `Quick
       (fun () ->
         let e, sw = mk_world () in
-        let n = Net.Fabric.Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"10.0.0.1" in
+        let n = Net.Fabric.Node.create ~addr:"10.0.0.1" in
         Net.Fabric.Node.attach n sw;
         let got = ref [] in
         Net.Fabric.Node.listen n 80 (fun p -> got := p.Net.Packet.payload :: !got);
@@ -357,7 +356,7 @@ let burst_tests =
         let e = engine () in
         let link = Net.Link.make ~latency:(Sim.Time.ms 1.) ~bandwidth_mbytes_per_s:1. in
         let sw = Net.Fabric.Switch.create e ~name:"sw" ~link in
-        let n = Net.Fabric.Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"a" in
+        let n = Net.Fabric.Node.create ~addr:"a" in
         Net.Fabric.Node.attach n sw;
         let at = ref Sim.Time.zero in
         Net.Fabric.Node.listen n 1 (fun _ -> at := Sim.Engine.now (Sim.Ctx.engine e));
@@ -379,7 +378,7 @@ let burst_tests =
         Alcotest.(check int64) "arrival" (Sim.Time.to_ns expect) (Sim.Time.to_ns !at));
     Alcotest.test_case "send_burst drops unknown addresses at send time" `Quick (fun () ->
         let e, sw = mk_world () in
-        let n = Net.Fabric.Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"10.0.0.1" in
+        let n = Net.Fabric.Node.create ~addr:"10.0.0.1" in
         Net.Fabric.Node.attach n sw;
         let pkt id addr =
           Net.Packet.make ~id
@@ -411,8 +410,7 @@ let net_props =
            let nodes =
              List.init (hops + 1) (fun i ->
                  let n =
-                   Net.Fabric.Node.create (Sim.Ctx.engine e) ~name:(Printf.sprintf "n%d" i)
-                     ~addr:(Printf.sprintf "10.0.0.%d" (i + 1))
+                   Net.Fabric.Node.create ~addr:(Printf.sprintf "10.0.0.%d" (i + 1))
                  in
                  Net.Fabric.Node.attach n sw;
                  n)
@@ -450,10 +448,10 @@ let net_props =
          (fun n_taps ->
            let e = Sim.Ctx.create () in
            let sw = Net.Fabric.Switch.create e ~name:"sw" ~link:Net.Link.loopback in
-           let node = Net.Fabric.Node.create (Sim.Ctx.engine e) ~name:"n" ~addr:"10.0.0.1" in
+           let node = Net.Fabric.Node.create ~addr:"10.0.0.1" in
            Net.Fabric.Node.attach node sw;
-           for i = 1 to n_taps do
-             Net.Fabric.Node.add_tap node ~name:(string_of_int i) (fun _ -> Net.Fabric.Forward)
+           for _ = 1 to n_taps do
+             Net.Fabric.Node.add_tap node (fun _ -> Net.Fabric.Forward)
            done;
            let count = ref 0 in
            Net.Fabric.Node.listen node 80 (fun _ -> incr count);
