@@ -40,13 +40,10 @@ let abl_pages ctx =
   let rows =
     List.map
       (fun file_pages ->
-        let config =
-          { Cloudskulk.Dedup_detector.default_config with Cloudskulk.Dedup_detector.file_pages }
-        in
         let clean = Cloudskulk.Scenarios.clean ctx in
         let infected = Cloudskulk.Scenarios.infected ctx in
         let verdict sc =
-          match Cloudskulk.Dedup_detector.run ~config sc.Cloudskulk.Scenarios.detector_env with
+          match Cloudskulk.Dedup_detector.run ~file_pages sc.Cloudskulk.Scenarios.detector_env with
           | Ok o -> o
           | Error e -> failwith e
         in

@@ -15,7 +15,6 @@ let fmt_min t = Printf.sprintf "%.1f min" (Sim.Time.to_s t /. 60.)
 
 let monitor_policy =
   {
-    Cloudskulk.Detector_service.default_policy with
     Cloudskulk.Detector_service.sweep_every = Sim.Time.minutes 10.;
     dedup_every_n_sweeps = 2;
     probe_pages = 8;
@@ -81,13 +80,9 @@ let roc_ratios = [ 1.05; 1.2; 3.0; 13.0; 16.0 ]
 
 let run_roc_trial cctx =
   List.map
-    (fun pages ->
-      let config =
-        { Cloudskulk.Dedup_detector.default_config with
-          Cloudskulk.Dedup_detector.file_pages = pages }
-      in
+    (fun file_pages ->
       let outcome sc =
-        match Cloudskulk.Dedup_detector.run ~config sc.Cloudskulk.Scenarios.detector_env with
+        match Cloudskulk.Dedup_detector.run ~file_pages sc.Cloudskulk.Scenarios.detector_env with
         | Ok o -> o
         | Error e -> invalid_arg ("slo: protocol failed: " ^ e)
       in
@@ -98,7 +93,7 @@ let run_roc_trial cctx =
           (Cloudskulk.Scenarios.infected ~customer_memory_mb:256
              ~attacker_syncs_changes:true cctx)
       in
-      (pages, o_clean, o_inf, o_sync))
+      (file_pages, o_clean, o_inf, o_sync))
     roc_pages
 
 (* All per-page write times of one trial's protocol runs, for the

@@ -134,7 +134,6 @@ let soc seed infected minutes metrics_out trace_out =
   let open Cloudskulk.Detector_service in
   let policy =
     {
-      default_policy with
       sweep_every = Sim.Time.minutes 10.;
       dedup_every_n_sweeps = 2;
       probe_pages = 8;

@@ -57,7 +57,7 @@ let () =
   | None -> ());
   let user = Net.Fabric.Node.create ~addr:"203.0.113.5" in
   Net.Fabric.Node.attach user uplink;
-  Net.Fabric.Node.send user ~via:uplink
+  Net.Fabric.Switch.send uplink
     (Net.Packet.make ~id:1
        ~src:(Net.Packet.endpoint "203.0.113.5" 40000)
        ~dst:(Net.Packet.endpoint "192.168.1.100" 2222)
@@ -67,7 +67,7 @@ let () =
 
   banner "passive service: keystroke logging from the middle";
   let keylogger = Cloudskulk.Services.start_keylogger ritm ~ports:[ 22 ] in
-  Net.Fabric.Node.send user ~via:uplink
+  Net.Fabric.Switch.send uplink
     (Net.Packet.make ~id:2
        ~src:(Net.Packet.endpoint "203.0.113.5" 40000)
        ~dst:(Net.Packet.endpoint "192.168.1.100" 2222)

@@ -86,10 +86,7 @@ let () =
       }
     in
     (* small probes keep the sweep cheap (abl-pages shows 4 suffice) *)
-    let config =
-      { Cloudskulk.Dedup_detector.default_config with Cloudskulk.Dedup_detector.file_pages = 8 }
-    in
-    match Cloudskulk.Dedup_detector.run ~config env with
+    match Cloudskulk.Dedup_detector.run ~file_pages:8 env with
     | Ok o -> Cloudskulk.Dedup_detector.verdict_to_string o.Cloudskulk.Dedup_detector.verdict
     | Error e -> "error: " ^ e
   in

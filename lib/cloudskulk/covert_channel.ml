@@ -1,17 +1,8 @@
-type config = {
-  pages_per_bit : int;
-  mem_params : Memory.Mem_params.t;
-  wait_factor : float;
-  codebook_seed : int;
-}
-
-let default_config =
-  {
-    pages_per_bit = 1;
-    mem_params = Memory.Mem_params.default;
-    wait_factor = 2.5;
-    codebook_seed = 0xC0DE;
-  }
+(* One page per bit slot; a frame waits 2.5 full ksmd passes; both
+   parties derive the codebook from a fixed seed. *)
+let pages_per_bit = 1
+let wait_factor = 2.5
+let codebook_seed = 0xC0DE
 
 type transfer = {
   sent : bool list;
@@ -27,22 +18,21 @@ type transfer = {
    trials run concurrently across domains). *)
 let frame_nonce = Atomic.make 0
 
-let codebook config ~nonce ~bits =
-  let rng = Sim.Rng.create (config.codebook_seed lxor (nonce * 0x9E37)) in
-  List.init bits (fun _ ->
-      Array.init config.pages_per_bit (fun _ -> Memory.Page.Content.random rng))
+let codebook ~nonce ~bits =
+  let rng = Sim.Rng.create (codebook_seed lxor (nonce * 0x9E37)) in
+  List.init bits (fun _ -> Array.init pages_per_bit (fun _ -> Memory.Page.Content.random rng))
 
 let load_slot vm contents ~name =
   Vmm.Vm.load_file vm (Memory.File_image.of_contents ~name contents)
 
-let transmit ?(config = default_config) ~host ~sender ~receiver bits =
+let transmit ~host ~sender ~receiver bits =
   match Vmm.Hypervisor.ksm host with
   | None -> Error "host has no ksmd: the channel needs memory deduplication"
   | Some ksm ->
     let nonce = Atomic.fetch_and_add frame_nonce 1 + 1 in
     let engine = Vmm.Vm.engine sender in
     let started = Sim.Engine.now engine in
-    let book = codebook config ~nonce ~bits:(List.length bits) in
+    let book = codebook ~nonce ~bits:(List.length bits) in
     let slot_name side i = Printf.sprintf "covert-%d-%s-%d" nonce side i in
     (* receiver always holds every slot page *)
     let rec load_receiver i = function
@@ -70,7 +60,7 @@ let transmit ?(config = default_config) ~host ~sender ~receiver bits =
       | Error e -> Error e
       | Ok () ->
         (* wait for ksmd to merge matching slots *)
-        let wait = Sim.Time.mul (Memory.Ksm.time_for_full_pass ksm) config.wait_factor in
+        let wait = Sim.Time.mul (Memory.Ksm.time_for_full_pass ksm) wait_factor in
         ignore (Sim.Engine.run_for engine wait);
         (* receiver probes its own copies: CoW = the sender had it *)
         let rng = Sim.Engine.fork_rng engine in
@@ -81,8 +71,8 @@ let transmit ?(config = default_config) ~host ~sender ~receiver bits =
               | None -> false
               | Some offset ->
                 let probe =
-                  Memory.Write_probe.probe ~params:config.mem_params ~rng
-                    (Vmm.Vm.ram receiver) ~offset ~pages:config.pages_per_bit
+                  Memory.Write_probe.probe ~rng (Vmm.Vm.ram receiver) ~offset
+                    ~pages:pages_per_bit
                 in
                 ignore (Sim.Engine.run_for engine probe.Memory.Write_probe.total);
                 Memory.Write_probe.fraction_cow probe > 0.5)

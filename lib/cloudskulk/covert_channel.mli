@@ -14,15 +14,6 @@
     direction, and because it makes a good property-test target: bits
     in, bits out. *)
 
-type config = {
-  pages_per_bit : int;
-      (** redundancy: a bit is 1 when the majority of its pages were
-          merged (default 1) *)
-  mem_params : Memory.Mem_params.t;
-  wait_factor : float;  (** ksmd full passes to wait per frame (default 2.5) *)
-  codebook_seed : int;  (** both parties derive the codebook from this *)
-}
-
 type transfer = {
   sent : bool list;
   received : bool list;
@@ -32,13 +23,14 @@ type transfer = {
 }
 
 val transmit :
-  ?config:config ->
   host:Vmm.Hypervisor.t ->
   sender:Vmm.Vm.t ->
   receiver:Vmm.Vm.t ->
   bool list ->
   (transfer, string) result
-(** Move one frame of bits from sender to receiver. Both VMs must have
+(** Move one frame of bits from sender to receiver: one codebook page
+    per bit, both parties deriving the codebook from a fixed seed, and
+    2.5 full ksmd passes of waiting per frame. Both VMs must have
     room for the codebook pages; the sender's pages are unloaded (by
     overwriting) after the frame so slots can be reused. *)
 

@@ -14,22 +14,12 @@ let verdict_equal a b =
   | Inconclusive x, Inconclusive y -> String.equal x y
   | (Nested_vm_detected | No_nested_vm | Inconclusive _), _ -> false
 
-type config = {
-  file_pages : int;
-  mem_params : Memory.Mem_params.t;
-  wait_factor : float;
-  merge_ratio : float;
-  mutate_salt : int;
-}
-
-let default_config =
-  {
-    file_pages = 100;
-    mem_params = Memory.Mem_params.default;
-    wait_factor = 2.5;
-    merge_ratio = 3.0;
-    mutate_salt = 0x5A17;
-  }
+(* The paper's settings: after each load, wait 2.5 full ksmd passes; a
+   mean write three times t0's is "merged"; File-A-v2 is derived with a
+   fixed salt. *)
+let wait_factor = 2.5
+let merge_ratio = 3.0
+let mutate_salt = 0x5A17
 
 type environment = {
   ctx : Sim.Ctx.t;
@@ -78,15 +68,15 @@ let ksm_exn env =
   | Some k -> k
   | None -> invalid_arg "Dedup_detector: host has no ksmd"
 
-let wait_time config env =
+let wait_time env =
   (* After the buffer is registered: how long one full ksmd pass takes
-     over everything registered, padded by the configured factor. *)
-  Sim.Time.mul (Memory.Ksm.time_for_full_pass (ksm_exn env)) config.wait_factor
+     over everything registered, padded by [wait_factor]. *)
+  Sim.Time.mul (Memory.Ksm.time_for_full_pass (ksm_exn env)) wait_factor
 
 (* Load [image] into a fresh host buffer, wait for ksmd, and time a
    write to each page. The buffer is released afterwards: the real
    detector's process exits and frees its memory. *)
-let load_wait_probe config env ~label image =
+let load_wait_probe env ~label image =
   let telemetry = Vmm.Hypervisor.telemetry env.host in
   let probe_started = Sim.Ctx.now env.ctx in
   let* buffer =
@@ -94,12 +84,11 @@ let load_wait_probe config env ~label image =
       ~pages:(Memory.File_image.pages image)
   in
   Memory.File_image.load_into image buffer ~offset:0;
-  let wait = wait_time config env in
+  let wait = wait_time env in
   ignore (Sim.Engine.run_for (Sim.Ctx.engine env.ctx) wait);
   let rng = Sim.Ctx.fork_rng env.ctx in
   let probe =
-    Memory.Write_probe.probe ~params:config.mem_params ~rng buffer ~offset:0
-      ~pages:(Memory.File_image.pages image)
+    Memory.Write_probe.probe ~rng buffer ~offset:0 ~pages:(Memory.File_image.pages image)
   in
   ignore (Sim.Engine.run_for (Sim.Ctx.engine env.ctx) probe.Memory.Write_probe.total);
   Vmm.Hypervisor.release_buffer env.host buffer;
@@ -140,32 +129,32 @@ let run_counter = Atomic.make 0
 
 let fresh_name prefix = Printf.sprintf "%s-%d" prefix (Atomic.fetch_and_add run_counter 1 + 1)
 
-let measure_t0 ?(config = default_config) env =
+let t0_probe ~file_pages env =
   let rng = Sim.Ctx.fork_rng env.ctx in
-  let lonely =
-    Memory.File_image.generate rng ~name:(fresh_name "file-t0") ~pages:config.file_pages
-  in
-  load_wait_probe config env ~label:"t0" lonely
+  let lonely = Memory.File_image.generate rng ~name:(fresh_name "file-t0") ~pages:file_pages in
+  load_wait_probe env ~label:"t0" lonely
 
-let run ?(config = default_config) env =
+(* File-A is 100 pages in the paper. *)
+let paper_file_pages = 100
+let measure_t0 env = t0_probe ~file_pages:paper_file_pages env
+
+let run ?(file_pages = paper_file_pages) env =
   let started = Sim.Ctx.now env.ctx in
   let rng = Sim.Ctx.fork_rng env.ctx in
-  let file_a =
-    Memory.File_image.generate rng ~name:(fresh_name "file-a") ~pages:config.file_pages
-  in
+  let file_a = Memory.File_image.generate rng ~name:(fresh_name "file-a") ~pages:file_pages in
   if not (Memory.File_image.all_pages_distinct file_a) then
     Error "File-A generation produced duplicate pages"
   else begin
     (* Baseline: a file no one else holds. *)
-    let* t0 = measure_t0 ~config env in
+    let* t0 = t0_probe ~file_pages env in
     (* Step 1: push File-A to the guest, then measure. *)
     let* () = env.deliver_to_guest file_a in
-    let* t1 = load_wait_probe config env ~label:"t1" file_a in
+    let* t1 = load_wait_probe env ~label:"t1" file_a in
     (* Step 2: the guest changes every page; measure a fresh original. *)
-    let* () = env.mutate_in_guest ~name:(Memory.File_image.name file_a) ~salt:config.mutate_salt in
-    let* t2 = load_wait_probe config env ~label:"t2" file_a in
+    let* () = env.mutate_in_guest ~name:(Memory.File_image.name file_a) ~salt:mutate_salt in
+    let* t2 = load_wait_probe env ~label:"t2" file_a in
     let verdict =
-      decide ~merge_ratio:config.merge_ratio ~t0_mean:t0.summary.Sim.Stats.mean
+      decide ~merge_ratio ~t0_mean:t0.summary.Sim.Stats.mean
         ~t1_mean:t1.summary.Sim.Stats.mean ~t2_mean:t2.summary.Sim.Stats.mean
     in
     let telemetry = Vmm.Hypervisor.telemetry env.host in
@@ -190,7 +179,7 @@ let run ?(config = default_config) env =
         t1;
         t2;
         verdict;
-        wait_per_step = wait_time config env;
+        wait_per_step = wait_time env;
         elapsed = Sim.Time.diff (Sim.Ctx.now env.ctx) started;
       }
   end

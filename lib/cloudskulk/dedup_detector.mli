@@ -29,19 +29,6 @@ val verdict_equal : verdict -> verdict -> bool
 (** Structural equality ([Inconclusive] reasons compare with
     [String.equal]) — use instead of polymorphic compare. *)
 
-type config = {
-  file_pages : int;  (** pages of File-A (paper: 100) *)
-  mem_params : Memory.Mem_params.t;
-  wait_factor : float;
-      (** how many ksmd full-pass times to wait after each load
-          (default 2.5) *)
-  merge_ratio : float;
-      (** a mean write this many times t0's is "merged" (default 3.0) *)
-  mutate_salt : int;  (** salt for deriving File-A-v2 *)
-}
-
-val default_config : config
-
 type environment = {
   ctx : Sim.Ctx.t;
   host : Vmm.Hypervisor.t;
@@ -68,22 +55,25 @@ type outcome = {
   elapsed : Sim.Time.t;
 }
 
-val run : ?config:config -> environment -> (outcome, string) result
-(** Execute the full protocol. The verdict uses timing only:
+val run : ?file_pages:int -> environment -> (outcome, string) result
+(** Execute the full protocol with a File-A of [file_pages] pages
+    (default 100, the paper's). After each load the detector waits 2.5
+    full ksmd passes, and a mean write at least 3.0 times t0's counts as
+    merged. The verdict uses timing only:
     - t1 fast: [Inconclusive] (File-A never merged - ksmd too slow or
       the file never reached the guest);
     - t1 slow, t2 fast: [No_nested_vm];
     - t1 slow, t2 slow: [Nested_vm_detected]. *)
 
-val measure_t0 : ?config:config -> environment -> (measurement, string) result
+val measure_t0 : environment -> (measurement, string) result
 (** Just the baseline measurement (a file that exists nowhere else).
     Test hook: {!run} takes this measurement first; tests check the baseline
     on its own. *)
 
 val verdict_for_ratio : outcome -> ratio:float -> verdict
-(** Re-decide a recorded outcome under a different [merge_ratio]
+(** Re-decide a recorded outcome under a different merge-ratio
     threshold, from the t0/t1/t2 mean write times alone. With
-    [ratio = config.merge_ratio] this reproduces [outcome.verdict]
+    [ratio = 3.0] this reproduces [outcome.verdict]
     exactly — the decision rule is shared. Used by the [slo]
     experiment's ROC sweep to score thresholds post hoc without
     re-running the protocol. *)

@@ -2,7 +2,6 @@ type policy = {
   sweep_every : Sim.Time.t;
   probe_pages : int;
   dedup_every_n_sweeps : int;
-  probe_jitter : float;
   probe_budget : int;
   event_log_capacity : int;
 }
@@ -12,7 +11,6 @@ let default_policy =
     sweep_every = Sim.Time.minutes 30.;
     probe_pages = 8;
     dedup_every_n_sweeps = 4;
-    probe_jitter = 0.2;
     probe_budget = max_int;
     event_log_capacity = 1024;
   }
@@ -161,15 +159,13 @@ let interval t =
   Sim.Time.mul t.policy.sweep_every (float_of_int (max 1 t.policy.dedup_every_n_sweeps))
 
 (* Next-probe delay for the continuous monitor: the rotation interval
-   +/- the policy's jitter fraction, drawn from the service's own RNG
-   stream so tenant probes drift apart instead of thundering in
-   lockstep. *)
+   +/- 20 %, drawn from the service's own RNG stream so tenant probes
+   drift apart instead of thundering in lockstep. *)
+let probe_jitter = 0.2
+
 let jittered_interval t =
-  let j = t.policy.probe_jitter in
-  if j <= 0. then interval t
-  else
-    let u = Sim.Rng.float t.rng 1.0 in
-    Sim.Time.mul (interval t) (1. +. (j *. ((2. *. u) -. 1.)))
+  let u = Sim.Rng.float t.rng 1.0 in
+  Sim.Time.mul (interval t) (1. +. (probe_jitter *. ((2. *. u) -. 1.)))
 
 let roll_window t =
   let now = Sim.Ctx.now t.ctx in
@@ -187,14 +183,11 @@ let defer t ~sweep name =
 
 let probe_tenant t ~sweep name (r : registered) =
   let started = Sim.Ctx.now t.ctx in
-  let config =
-    { Dedup_detector.default_config with Dedup_detector.file_pages = t.policy.probe_pages }
-  in
   r.probing <- true;
   let outcome =
     Fun.protect
       ~finally:(fun () -> r.probing <- false)
-      (fun () -> Dedup_detector.run ~config (r.env ()))
+      (fun () -> Dedup_detector.run ~file_pages:t.policy.probe_pages (r.env ()))
   in
   match outcome with
   | Error reason ->

@@ -34,11 +34,9 @@ type policy = {
   probe_pages : int;  (** File-A size for routine probes (default 8) *)
   dedup_every_n_sweeps : int;
       (** rotation: each tenant's probe interval is
-          [sweep_every * dedup_every_n_sweeps] (default 4) *)
-  probe_jitter : float;
-      (** each tenant's next probe fires after the
-          rotation interval scaled by a uniform factor in
-          [1 +/- probe_jitter] (default 0.2; 0 disables jitter) *)
+          [sweep_every * dedup_every_n_sweeps] (default 4); each
+          tenant's next probe fires after that interval scaled by a
+          uniform factor in [1 +/- 0.2] *)
   probe_budget : int;
       (** maximum dedup probes per scan window; excess probes are
           deferred to the next window (default [max_int]: unbounded) *)
@@ -48,6 +46,9 @@ type policy = {
 }
 
 val default_policy : policy
+(** Test hook: the experiments, the CLI and the fleet spell out every
+    field; test_observability and test_extensions derive their policies
+    from this one. *)
 
 type tenant_state = {
   tenant : string;

@@ -6,30 +6,22 @@ let verdict_to_string = function
   | Looks_nested -> "looks nested (RITM suspected)"
   | Looks_normal -> "looks normal"
 
-type config = {
-  reference_op : Vmm.Cost_model.op;
-  consistency_ops : Vmm.Cost_model.op list;
-  threshold : float;
-  iterations : int;
-}
-
 let find_op name =
   match List.assoc_opt name Workload.Lmbench.processes with
   | Some op -> op
   | None -> invalid_arg ("L2_timing_detector: unknown lmbench op " ^ name)
 
-let default_config =
-  {
-    reference_op = find_op "pipe latency";
-    consistency_ops =
-      [
-        find_op "pipe latency";
-        find_op "fork+exit";
-        find_op "signal handler installation";
-      ];
-    threshold = 3.0;
-    iterations = 1000;
-  }
+(* The naive detector times lmbench's pipe latency; the consistency
+   variant adds two ops with different exit/fault profiles. A ratio of
+   observed to expected above 3 cries nested; each op's timing loop runs
+   1000 iterations. *)
+let reference_op = find_op "pipe latency"
+
+let consistency_ops =
+  [ reference_op; find_op "fork+exit"; find_op "signal handler installation" ]
+
+let threshold = 3.0
+let iterations = 1000
 
 type observation = {
   op_name : string;
@@ -52,14 +44,14 @@ let spoof_results vm = Vmm.Vm.set_spoofs_benchmarks vm true
 let stop_spoofing vm = Vmm.Vm.set_spoofs_benchmarks vm false
 let is_spoofed vm = Vmm.Vm.spoofs_benchmarks vm
 
-let observe_op config vm op =
+let observe_op vm op =
   (* what the user was promised at provisioning: L1 performance *)
   let expected_l1_ns = Vmm.Cost_model.cost_ns ~level:Vmm.Level.l1 op in
   (* real cost at the level the guest actually runs *)
   let real_ns = Vmm.Cost_model.cost_ns ~level:(Vmm.Vm.level vm) op in
   (* the benchmark loop takes real time on the host's clock... *)
   let loop_duration =
-    Sim.Time.ns (int_of_float (Float.round (real_ns *. float_of_int config.iterations)))
+    Sim.Time.ns (int_of_float (Float.round (real_ns *. float_of_int iterations)))
   in
   ignore (Sim.Engine.run_for (Vmm.Vm.engine vm) loop_duration);
   (* ...but the guest reads its own (possibly manipulated) clock *)
@@ -74,12 +66,12 @@ let observe_op config vm op =
     ratio = (if expected_l1_ns > 0. then observed_ns /. expected_l1_ns else 1.);
   }
 
-let measure ?(config = default_config) vm =
-  let reference = observe_op config vm config.reference_op in
-  let observations = List.map (observe_op config vm) config.consistency_ops in
-  let naive_verdict = if reference.ratio > config.threshold then Looks_nested else Looks_normal in
+let measure vm =
+  let reference = observe_op vm reference_op in
+  let observations = List.map (observe_op vm) consistency_ops in
+  let naive_verdict = if reference.ratio > threshold then Looks_nested else Looks_normal in
   let consistency_verdict =
-    if List.exists (fun o -> o.ratio > config.threshold) observations then Looks_nested
+    if List.exists (fun o -> o.ratio > threshold) observations then Looks_nested
     else Looks_normal
   in
   let ratios = List.map (fun o -> o.ratio) observations in
@@ -92,8 +84,8 @@ let measure ?(config = default_config) vm =
     max_ratio_spread = (if min_ratio > 0. then max_ratio /. min_ratio else 1.);
   }
 
-let hide_reference_op ?(config = default_config) vm =
-  let op = config.reference_op in
+let hide_reference_op vm =
+  let op = reference_op in
   let expected = Vmm.Cost_model.cost_ns ~level:Vmm.Level.l1 op in
   let real = Vmm.Cost_model.cost_ns ~level:(Vmm.Vm.level vm) op in
   if real > 0. then Vmm.Vm.set_guest_time_scale vm (expected /. real)

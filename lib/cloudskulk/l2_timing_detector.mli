@@ -28,17 +28,6 @@ type verdict =
 
 val verdict_to_string : verdict -> string
 
-type config = {
-  reference_op : Vmm.Cost_model.op;  (** default: lmbench pipe latency *)
-  consistency_ops : Vmm.Cost_model.op list;
-      (** ops with different exit/fault profiles (default: pipe,
-          fork+exit, signal install) *)
-  threshold : float;
-      (** observed/expected ratio above which the guest cries nested
-          (default 3.0) *)
-  iterations : int;  (** timing-loop iterations per op (default 1000) *)
-}
-
 type observation = {
   op_name : string;
   expected_l1_ns : float;  (** provisioning-time baseline *)
@@ -57,15 +46,18 @@ type result = {
           itself suspicious even if every ratio looks normal *)
 }
 
-val measure : ?config:config -> Vmm.Vm.t -> result
-(** Run the guest-side timing benchmark inside a VM. The observations go
+val measure : Vmm.Vm.t -> result
+(** Run the guest-side timing benchmark inside a VM: 1000 iterations of
+    the reference op (lmbench pipe latency), then of each consistency op
+    (pipe, fork+exit, signal install). An observed/expected ratio above
+    3.0 reads as nested. The observations go
     through the VM's {!Vmm.Vm.guest_time_scale}, so an L1 attacker's
     clock manipulation affects them exactly as it would in reality.
     Advances the VM's engine by the benchmark's (real) duration. *)
 
 (** {2 The attacker's countermeasures} *)
 
-val hide_reference_op : ?config:config -> Vmm.Vm.t -> unit
+val hide_reference_op : Vmm.Vm.t -> unit
 (** Set the victim's guest clock scale so the {e reference} operation
     times exactly as it would at L1 - the cheap evasion. Other ops with
     different overhead profiles remain skewed. *)

@@ -71,3 +71,6 @@ val rewrite_traffic :
 
 val victim_send :
   Ritm.t -> dst:Net.Packet.endpoint -> ?encrypted:bool -> string -> unit
+(** [encrypted] defaults to [false]. Test hook: no experiment sends
+    victim traffic; test_cloudskulk's "encryption hides payloads from the
+    sniffer" and examples/attack_demo.ml send it encrypted. *)

@@ -41,6 +41,16 @@ type t = {
   mutable packet_seq : int;
 }
 
+(* What every fleet shares: 4 MB tenant VMs, 12 cross-host chatter
+   packets per host-hour, ksmd paced for a standing fleet rather than a
+   microbenchmark (256-page batches, 500 ms sleeps, incremental rescans
+   so steady-state wakeups cost O(dirtied pages)), and host 0's SOC
+   auditing one host every 25 minutes. *)
+let tenant_memory_mb = 4
+let chatter_per_hour = 12.
+let ksm_config = { Memory.Ksm.pages_to_scan = 256; sleep = Sim.Time.ms 500.; incremental = true }
+let soc_audit_every = Sim.Time.minutes 25.
+
 let tenant_label id = Printf.sprintf "cust-%d" id
 let host_addr id = Printf.sprintf "fleet-%d" id
 
@@ -64,7 +74,7 @@ let launch_tenant_unchecked t =
   let cfg =
     {
       (Vmm.Qemu_config.default ~name) with
-      Vmm.Qemu_config.memory_mb = t.spec.Spec.tenant_memory_mb;
+      Vmm.Qemu_config.memory_mb = tenant_memory_mb;
     }
   in
   match Vmm.Hypervisor.launch (hypervisor t) cfg with
@@ -158,15 +168,12 @@ let chatter_op t =
     Net.Fabric.Switch.send (Vmm.Hypervisor.uplink (hypervisor t)) p
 
 let rec schedule_chatter t =
-  let lambda = t.spec.Spec.chatter_per_hour in
-  if lambda > 0. then begin
-    let dt_hours = Sim.Rng.exponential t.rng (1. /. lambda) in
-    let dt = Sim.Time.max (Sim.Time.ms 1.) (Sim.Time.minutes (dt_hours *. 60.)) in
-    ignore
-      (Sim.Engine.schedule_after (engine t) dt (fun () ->
-           chatter_op t;
-           schedule_chatter t))
-  end
+  let dt_hours = Sim.Rng.exponential t.rng (1. /. chatter_per_hour) in
+  let dt = Sim.Time.max (Sim.Time.ms 1.) (Sim.Time.minutes (dt_hours *. 60.)) in
+  ignore
+    (Sim.Engine.schedule_after (engine t) dt (fun () ->
+         chatter_op t;
+         schedule_chatter t))
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -177,7 +184,6 @@ let create ctx (spec : Spec.t) ~id =
      scenario then re-forks the ctx, so the draw cannot perturb the
      world's own schedule *)
   let coin = Sim.Rng.float (Sim.Ctx.fork_rng ctx) 1.0 in
-  let ksm_config = Spec.ksm_config spec in
   let customer_memory_mb = spec.Spec.customer_memory_mb in
   let sc, infected, install_failed =
     if coin < spec.Spec.infection_rate then
@@ -289,13 +295,13 @@ let create ctx (spec : Spec.t) ~id =
   (* host 0 runs the fleet SOC: a deterministic audit rotation over the
      whole host population *)
   (match t.soc with
-  | Some soc when Sim.Time.(spec.Spec.soc_audit_every > Sim.Time.zero) ->
-    Sim.Engine.periodic (engine t) ~every:spec.Spec.soc_audit_every (fun () ->
+  | Some soc ->
+    Sim.Engine.periodic (engine t) ~every:soc_audit_every (fun () ->
         (match Cloudskulk.Fleet_soc.next_audit_target soc ~hosts:spec.Spec.hosts with
         | Some target -> send t target Message.Audit_request
         | None -> ());
         true)
-  | Some _ | None -> ());
+  | None -> ());
   t
 
 (* --- mailbox hooks ----------------------------------------------------- *)

@@ -7,22 +7,17 @@ type t = {
   hosts : int;
   racks : int;
   tenants_per_host : int;  (* initial tenants besides the customer VM *)
-  tenant_memory_mb : int;
   customer_memory_mb : int;
   infection_rate : float;  (* fraction of hosts seeded with CloudSkulk *)
   boot_per_hour : float;  (* per-host churn rates *)
   kill_per_hour : float;
   migrate_per_hour : float;
-  chatter_per_hour : float;  (* cross-host packets per host *)
   duration : Sim.Time.t;
   fabric_latency : Sim.Time.t;  (* cross-host delivery quantum = the epoch *)
-  ksm_pages_to_scan : int;
-  ksm_sleep : Sim.Time.t;
   sweep_every : Sim.Time.t;  (* per-host detector policy *)
   dedup_every_n_sweeps : int;
   probe_pages : int;
   probe_budget : int;
-  soc_audit_every : Sim.Time.t;  (* fleet SOC rotation; zero disables *)
 }
 
 let default =
@@ -30,25 +25,17 @@ let default =
     hosts = 4;
     racks = 2;
     tenants_per_host = 3;
-    tenant_memory_mb = 4;
     customer_memory_mb = 32;
     infection_rate = 0.25;
     boot_per_hour = 2.;
     kill_per_hour = 2.;
     migrate_per_hour = 2.;
-    chatter_per_hour = 12.;
     duration = Sim.Time.minutes 60.;
     fabric_latency = Sim.Time.s 15.;
-    (* ksmd paced for a standing fleet, not a microbenchmark: modest
-       batches, long sleeps, incremental rescans (PR 6) so steady-state
-       wakeups cost O(dirtied pages). *)
-    ksm_pages_to_scan = 256;
-    ksm_sleep = Sim.Time.ms 500.;
     sweep_every = Sim.Time.minutes 10.;
     dedup_every_n_sweeps = 2;
     probe_pages = 8;
     probe_budget = 1;
-    soc_audit_every = Sim.Time.minutes 25.;
   }
 
 let vms t = t.hosts * (t.tenants_per_host + 1)
@@ -77,11 +64,6 @@ let validate t =
   in
   let* () =
     check
-      (t.tenant_memory_mb >= 1 && t.tenant_memory_mb <= 64)
-      "tenant_memory_mb must be in 1..64"
-  in
-  let* () =
-    check
       (t.customer_memory_mb >= 16 && t.customer_memory_mb <= 512)
       "customer_memory_mb must be in 16..512"
   in
@@ -96,11 +78,6 @@ let validate t =
     check
       (rate_ok t.boot_per_hour && rate_ok t.kill_per_hour && rate_ok t.migrate_per_hour)
       "churn rates must be in [0, 60] per hour"
-  in
-  let* () =
-    check
-      (t.chatter_per_hour >= 0. && t.chatter_per_hour <= 3600.)
-      "chatter_per_hour must be in [0, 3600]"
   in
   let* () =
     check
@@ -122,16 +99,6 @@ let validate t =
   in
   let* () =
     check
-      (t.ksm_pages_to_scan >= 16 && t.ksm_pages_to_scan <= 16384)
-      "ksm_pages_to_scan must be in 16..16384"
-  in
-  let* () =
-    check
-      Sim.Time.(t.ksm_sleep >= Sim.Time.ms 1. && t.ksm_sleep <= Sim.Time.s 10.)
-      "ksm_sleep must be in 1 ms .. 10 s"
-  in
-  let* () =
-    check
       Sim.Time.(t.sweep_every >= Sim.Time.minutes 1. && t.sweep_every <= Sim.Time.minutes 120.)
       "sweep_every must be in 1..120 min"
   in
@@ -144,26 +111,10 @@ let validate t =
   let* () =
     check (t.probe_budget >= 1 && t.probe_budget <= 1024) "probe_budget must be in 1..1024"
   in
-  let* () =
-    check
-      Sim.Time.(
-        t.soc_audit_every = Sim.Time.zero
-        || (t.soc_audit_every >= Sim.Time.minutes 1.
-           && t.soc_audit_every <= Sim.Time.minutes 240.))
-      "soc_audit_every must be zero (off) or in 1..240 min"
-  in
   Ok t
-
-let ksm_config t =
-  {
-    Memory.Ksm.pages_to_scan = t.ksm_pages_to_scan;
-    sleep = t.ksm_sleep;
-    incremental = true;
-  }
 
 let detector_policy t =
   {
-    Cloudskulk.Detector_service.default_policy with
     Cloudskulk.Detector_service.sweep_every = t.sweep_every;
     dedup_every_n_sweeps = t.dedup_every_n_sweeps;
     probe_pages = t.probe_pages;

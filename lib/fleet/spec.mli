@@ -1,11 +1,11 @@
 (** The datacenter's shape, as one validated value.
 
-    Everything that changes what a fleet simulates lives here: the
-    population (hosts, racks, tenants), the infection seeding, the
-    churn and chatter rates, the time horizon, the cross-host fabric
-    latency (which doubles as the sharding epoch - see
-    {!Sim.Parallel.run_sharded}), the per-host ksmd pacing, and the
-    detector / SOC policy knobs. The harness, the fuzzer, and the
+    Everything a fleet's callers vary lives here: the population (hosts,
+    racks, tenants), the infection seeding, the churn rates, the time
+    horizon, the cross-host fabric latency (which doubles as the
+    sharding epoch - see {!Sim.Parallel.run_sharded}) and the detector
+    policy knobs. What every fleet shares (tenant memory, chatter rate,
+    ksmd pacing, the SOC's audit rotation) is fixed in {!Host}. The harness, the fuzzer, and the
     benchmarks all describe fleets with this one record, and {!validate}
     is the single bounds check they share - the fuzz grammar's "reject
     degenerate fleets" rule is literally this function. *)
@@ -15,23 +15,18 @@ type t = {
   racks : int;  (** addressing/reporting granularity; racks <= hosts *)
   tenants_per_host : int;
       (** initial tenants per host, besides the customer VM *)
-  tenant_memory_mb : int;
   customer_memory_mb : int;
   infection_rate : float;  (** fraction of hosts seeded with CloudSkulk *)
   boot_per_hour : float;  (** per-host Poisson churn rates *)
   kill_per_hour : float;
   migrate_per_hour : float;
-  chatter_per_hour : float;  (** cross-host packets per host *)
   duration : Sim.Time.t;
   fabric_latency : Sim.Time.t;
       (** cross-host delivery quantum; the sharding epoch *)
-  ksm_pages_to_scan : int;
-  ksm_sleep : Sim.Time.t;
   sweep_every : Sim.Time.t;  (** per-host detector audit cadence *)
   dedup_every_n_sweeps : int;
   probe_pages : int;
   probe_budget : int;
-  soc_audit_every : Sim.Time.t;  (** fleet SOC rotation; zero disables *)
 }
 
 val default : t
@@ -53,10 +48,6 @@ val validate : t -> (t, string) result
 (** Bounds-check every knob (host/tenant counts, rates, horizons, the
     epoch-count product) and reject degenerate fleets with a one-line
     reason. *)
-
-val ksm_config : t -> Memory.Ksm.config
-(** Per-host ksmd pacing: incremental rescans at the spec's batch and
-    sleep. *)
 
 val detector_policy : t -> Cloudskulk.Detector_service.policy
 

@@ -31,7 +31,6 @@ let outcome_class = function
     "aborted:"
     ^
     match reason with
-    | Migration.Outcome.Round_timeout _ -> "round-timeout"
     | Migration.Outcome.Channel_down _ -> "channel-down"
     | Migration.Outcome.Cancelled _ -> "cancelled"
     | Migration.Outcome.Postcopy_paused -> "postcopy-paused")
@@ -209,10 +208,7 @@ let exec_world (p : Program.t) ~sink ~emit ~violate ~violated =
           | Error _ -> emit "mig:err"
           | Ok outcome -> finish outcome))
       | Program.Detect { file_pages } -> (
-        let config =
-          { Cloudskulk.Dedup_detector.default_config with Cloudskulk.Dedup_detector.file_pages }
-        in
-        match Cloudskulk.Dedup_detector.run ~config denv with
+        match Cloudskulk.Dedup_detector.run ~file_pages denv with
         | Error _ -> emit "detect:err"
         | Ok o ->
           let v = o.Cloudskulk.Dedup_detector.verdict in

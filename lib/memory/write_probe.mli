@@ -29,7 +29,10 @@ val probe :
     page with freshly-mutated content (so the probe itself never leaves
     two identical pages behind). Each write is timed with {!Mem_params}.
     The probe has the same side effect as the real detector's write loop:
-    merged pages get unshared. *)
+    merged pages get unshared. [params] defaults to {!Mem_params.default}.
+    Test hook: only test_memory sets [params], to noiseless costs
+    ("private pages probe fast, merged slow", "noiseless costs match
+    parameters"). *)
 
 val mean_cost : result -> Sim.Time.t
 val costs_ns : result -> float array

@@ -1,11 +1,9 @@
 type reason =
-  | Round_timeout of int
   | Channel_down of int
   | Cancelled of int
   | Postcopy_paused
 
 let reason_to_string = function
-  | Round_timeout r -> Printf.sprintf "round %d exceeded its timeout" r
   | Channel_down r -> Printf.sprintf "channel down in round %d, retries exhausted" r
   | Cancelled r -> Printf.sprintf "cancelled at round %d" r
   | Postcopy_paused -> "postcopy page pull lost its channel (recoverable)"

@@ -10,9 +10,6 @@
     produce. *)
 
 type reason =
-  | Round_timeout of int
-      (** the numbered round exceeded the per-round budget, retries
-          included *)
   | Channel_down of int
       (** the link died during the numbered round and the
           retransmission allowance ran out *)

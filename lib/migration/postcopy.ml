@@ -3,9 +3,7 @@ type config = {
   page_header_bytes : int;
   nested_dest_derate : float;
   working_set_pages : int;
-  demand_fault_rate : float;
   max_retransmits : int;
-  pull_chunk_pages : int;
   auto_recover : bool;
 }
 
@@ -15,11 +13,14 @@ let default_config =
     page_header_bytes = 8;
     nested_dest_derate = 0.82;
     working_set_pages = 2048;
-    demand_fault_rate = 0.02;
     max_retransmits = 5;
-    pull_chunk_pages = 256;
     auto_recover = true;
   }
+
+(* 2 % of the background pages arrive by demand fault; the faulted pull
+   moves 256 pages per chunk. *)
+let demand_fault_rate = 0.02
+let pull_chunk_pages = 256
 
 type result = {
   downtime : Sim.Time.t;
@@ -69,7 +70,7 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
             demand faults costing an extra round trip each. *)
          let remaining = pages - ws in
          let demand_faults =
-           int_of_float (Float.round (config.demand_fault_rate *. float_of_int remaining))
+           int_of_float (Float.round (demand_fault_rate *. float_of_int remaining))
          in
          let per_page_bytes = Memory.Page.size_bytes + config.page_header_bytes in
          let fault_penalty =
@@ -92,7 +93,7 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
            let next = ref ws in
            let rec pull ~recovering =
              if !next < pages then begin
-               let hi = min pages (!next + config.pull_chunk_pages) in
+               let hi = min pages (!next + pull_chunk_pages) in
                let base =
                  Sim.Time.add
                    (Net.Link.transfer_time link ((hi - !next) * per_page_bytes))

@@ -4,26 +4,21 @@
     (Section II-A): pause the source almost immediately, ship the device
     state and a minimal working set, resume the guest at the
     destination, and pull the remaining pages in the background (with
-    demand faults for pages the guest touches first). CloudSkulk works
-    over either strategy; the [abl-postcopy] bench compares install
-    times under both. *)
+    demand faults for pages the guest touches first: 2 % of them, one
+    network round-trip each). CloudSkulk works over either strategy; the
+    [abl-postcopy] bench compares install times under both. *)
 
 type config = {
   link : Net.Link.t;
   page_header_bytes : int;
   nested_dest_derate : float;
   working_set_pages : int;  (** pages pushed before the destination resumes *)
-  demand_fault_rate : float;
-      (** fraction of background pages that arrive via a demand fault
-          (network round-trip each) rather than the streaming pull *)
   max_retransmits : int;
       (** phase-1 (working-set push) retransmission allowance before the
           migration aborts with [Channel_down] (default 5) *)
-  pull_chunk_pages : int;
-      (** granularity of the faulted background pull; an outage severs
-          the stream at a chunk boundary (default 256) *)
   auto_recover : bool;
-      (** when an outage severs the background pull: [true] (default)
+      (** when an outage severs the background pull (at a boundary of
+          its 256-page chunks): [true] (default)
           waits it out and resumes the pull itself ([Recovered]);
           [false] reproduces QEMU's manual flow - the destination guest
           stays paused in postcopy-paused and a [migrate_recover]
@@ -31,6 +26,13 @@ type config = {
 }
 
 val default_config : config
+(** {!Net.Link.migration_loopback}, 8-byte headers, 0.82 per-level
+    derate, a 2048-page working set, 5 retransmissions, auto-recover on.
+    Test hook: every run outside the tests takes it as it is; only the
+    tests set [working_set_pages] and [auto_recover] (test_migration's
+    "postcopy pause and monitor recovery" and test_chaos's migration
+    properties) and [max_retransmits] ("postcopy aborts when the
+    working-set push stays down"). *)
 
 type result = {
   downtime : Sim.Time.t;

@@ -7,10 +7,7 @@ type config = {
   zero_page_optimization : bool;
   auto_converge : bool;
   xbzrle : bool;
-  xbzrle_ratio : float;
-  round_timeout : Sim.Time.t option;
   max_retransmits : int;
-  retransmit_backoff : Sim.Time.t;
 }
 
 let default_config =
@@ -23,11 +20,13 @@ let default_config =
     zero_page_optimization = false;
     auto_converge = false;
     xbzrle = false;
-    xbzrle_ratio = 0.3;
-    round_timeout = None;
     max_retransmits = 5;
-    retransmit_backoff = Sim.Time.ms 100.;
   }
+
+(* An XBZRLE delta is 30 % of a full page; retransmissions back off
+   exponentially from 100 ms. *)
+let xbzrle_ratio = 0.3
+let retransmit_backoff = Sim.Time.ms 100.
 
 type round_stat = {
   round : int;
@@ -89,7 +88,7 @@ let wire_bytes config ~source ~sent_before pages =
           then 0
           else if config.xbzrle && Memory.Dirty.is_dirty sent_before i then
             (* destination holds this page's previous version: ship a delta *)
-            int_of_float (Float.round (config.xbzrle_ratio *. float_of_int Memory.Page.size_bytes))
+            int_of_float (Float.round (xbzrle_ratio *. float_of_int Memory.Page.size_bytes))
           else Memory.Page.size_bytes
         in
         acc + config.page_header_bytes + payload)
@@ -122,10 +121,7 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
       if Vmm.Vm.take_migrate_cancel source then
         raise (Session.Abort (Outcome.Cancelled round))
     in
-    let transmit ~round base =
-      Session.transmit s ?timeout:config.round_timeout ~backoff:config.retransmit_backoff
-        ~round base
-    in
+    let transmit ~round base = Session.transmit s ~backoff:retransmit_backoff ~round base in
     (* pages the destination has already received at least once - the
        XBZRLE cache's reach *)
     let sent_before = Memory.Dirty.create (Memory.Address_space.pages sram) in

@@ -33,25 +33,23 @@ type config = {
   xbzrle : bool;
       (** QEMU's XBZRLE delta compression: a page re-sent in a later
           round (its content changed, but the destination holds the
-          previous version) goes on the wire as a delta. Off by
-          default. *)
-  xbzrle_ratio : float;
-      (** delta size as a fraction of a full page (default 0.3) *)
-  round_timeout : Sim.Time.t option;
-      (** wall-clock (virtual) budget per round under fault injection;
-          a round still stalled past it aborts with [Round_timeout].
-          [None] (the default) never times out. *)
+          previous version) goes on the wire as a delta of 30 % of a
+          page. Off by default. *)
   max_retransmits : int;
       (** severed transmissions are retried this many times before the
-          migration aborts with [Channel_down] (default 5) *)
-  retransmit_backoff : Sim.Time.t;
-      (** base of the exponential backoff between retransmissions
-          (default 100 ms; doubles per retry) *)
+          migration aborts with [Channel_down] (default 5); the backoff
+          between retries starts at 100 ms and doubles per retry *)
 }
 
 val default_config : config
 (** {!Net.Link.migration_loopback}, 300 ms downtime, 50 rounds, 8-byte
-    headers, 0.82 per-level derate, zero-page optimization off. *)
+    headers, 0.82 per-level derate, zero-page optimization off. The
+    experiments vary only [auto_converge] and [xbzrle]. Test hook: only
+    test_migration sets [max_downtime] (2 ms, so a busy guest needs
+    extra rounds), [max_rounds] (the auto-converge tests),
+    [zero_page_optimization] ("zero page optimization shrinks idle
+    transfer") and [max_retransmits] ("precopy aborts when the channel
+    stays down"). *)
 
 type round_stat = {
   round : int;  (** 1-based *)
@@ -92,8 +90,8 @@ val migrate :
     - [Recovered (r, recovery)]: same final states, but [?fault]
       injected retransmissions and/or outages along the way; [recovery]
       counts them.
-    - [Aborted _]: a round timed out, the channel stayed down past
-      [max_retransmits], or [migrate_cancel] was honoured at a round
+    - [Aborted _]: the channel stayed down past [max_retransmits], or
+      [migrate_cancel] was honoured at a round
       boundary. The destination remains parked in [Incoming]; the
       source is resumed iff this driver paused it (QEMU's
       source-resume-on-abort).

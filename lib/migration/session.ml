@@ -112,18 +112,11 @@ let wait t d = ignore (Sim.Engine.run_for t.engine d)
    zero extra RNG draws. With one, the transmission is jittered/degraded
    and may be severed; a severed transmission waits out the outage,
    backs off (exponentially from [backoff], when given) and retransmits,
-   up to [max_retransmits] times and bounded by [timeout]. *)
-let transmit ?timeout ?backoff t ~round base =
+   up to [max_retransmits] times. *)
+let transmit ?backoff t ~round base =
   match t.fault with
   | None -> wait t base
   | Some f ->
-    let deadline = Option.map (fun d -> Sim.Time.add (Sim.Engine.now t.engine) d) timeout in
-    let check_deadline () =
-      match deadline with
-      | Some d when Sim.Time.(Sim.Engine.now t.engine > d) ->
-        raise (Abort (Outcome.Round_timeout round))
-      | Some _ | None -> ()
-    in
     let rec attempt retry =
       let duration = Sim.Time.mul base (Sim.Fault.transmission_factor f) in
       match Sim.Fault.cut f ~now:(Sim.Engine.now t.engine) ~during:duration with
@@ -134,14 +127,12 @@ let transmit ?timeout ?backoff t ~round base =
            repair, then back off before the retransmit *)
         wait t (Sim.Time.add after outage);
         if retry >= t.max_retransmits then raise (Abort (Outcome.Channel_down round));
-        check_deadline ();
         note_retransmit t;
         Option.iter
           (fun b ->
             let backoff = Sim.Time.mul b (pow 2. retry) in
             t.stalled <- Sim.Time.add t.stalled backoff;
-            wait t backoff;
-            check_deadline ())
+            wait t backoff)
           backoff;
         attempt (retry + 1)
     in
@@ -204,7 +195,7 @@ let abort t reason =
   Vmm.Vm.set_cpu_throttle t.source 0.;
   (match reason with
   | Outcome.Postcopy_paused -> ()
-  | Outcome.Round_timeout _ | Outcome.Channel_down _ | Outcome.Cancelled _ ->
+  | Outcome.Channel_down _ | Outcome.Cancelled _ ->
     if t.we_paused && Vmm.Vm.state t.source = Vmm.Vm.Paused then
       ignore (Vmm.Vm.resume t.source));
   note_outcome t "aborted" [ ("reason", Outcome.reason_to_string reason) ];

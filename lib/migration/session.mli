@@ -2,7 +2,7 @@
     {!Postcopy.migrate} share around their own phases.
 
     A session owns the preconditions, the derated channel, the faulted
-    transmit (retries, backoff, per-round timeout), the per-driver
+    transmit (retries and backoff), the per-driver
     [migration_*] telemetry and the outcome accounting: a run with no
     outage and no retransmission is [Completed], any other finish is
     [Recovered], and an abort resumes the source the session paused
@@ -37,13 +37,13 @@ val link : t -> Net.Link.t
 val counter : t -> string -> Sim.Telemetry.counter
 (** A driver-specific [migration_<name>] counter with the driver label. *)
 
-val transmit : ?timeout:Sim.Time.t -> ?backoff:Sim.Time.t -> t -> round:int -> Sim.Time.t -> unit
+val transmit : ?backoff:Sim.Time.t -> t -> round:int -> Sim.Time.t -> unit
 (** Put this much transfer time on the wire, advancing the engine.
     Without a fault injector it is exactly [run_for]. With one, a
     severed transmission waits out the outage and is retried up to
     [max_retransmits] times (then [Abort (Channel_down round)]), first
-    backing off [backoff * 2^retry] when [backoff] is given; past
-    [timeout] from the call it raises [Abort (Round_timeout round)]. *)
+    backing off [backoff * 2^retry] when [backoff] is given (pre-copy
+    gives it; post-copy's working-set push retries at once). *)
 
 val note_outage : t -> Sim.Time.t -> unit
 (** Count an outage and its stalled time (for transfers the driver runs

@@ -19,7 +19,6 @@ and switch = {
   sw_telemetry : Sim.Telemetry.t option;
   link : Link.t;
   stations : (Packet.addr, node) Hashtbl.t;
-  mutable delivered : int;
   mutable dropped : int;
   mutable routed : int;
   (* Uplink escape hatch: packets addressed to no attached station are
@@ -57,7 +56,6 @@ and apply_taps taps packet =
     | Rewrite p -> apply_taps rest p)
 
 and deliver_on_wire sw node packet =
-  sw.delivered <- sw.delivered + 1;
   Sim.Telemetry.incr sw.m_delivered;
   Sim.Telemetry.add sw.m_bytes packet.Packet.size_bytes;
   deliver node packet
@@ -84,46 +82,6 @@ and switch_send sw packet =
     let delay = Link.transfer_time sw.link packet.Packet.size_bytes in
     ignore (Sim.Engine.schedule_after sw.sw_engine delay (fun () -> deliver_on_wire sw node packet))
 
-(* One engine event for the whole burst instead of one per packet: the
-   wire is serial, so the burst completes after the link latency plus
-   the sum of per-packet serialisation times, and every packet is
-   handed up at that instant, in burst order. Destinations are resolved
-   (and unknown addresses counted dropped) at send time, exactly as
-   [switch_send] does. *)
-and switch_send_burst sw packets =
-  let resolved =
-    List.filter_map
-      (fun p ->
-        match Hashtbl.find_opt sw.stations p.Packet.dst.Packet.addr with
-        | None -> (
-          match sw.default_route with
-          | None ->
-            sw.dropped <- sw.dropped + 1;
-            Sim.Telemetry.incr sw.m_dropped;
-            None
-          | Some route -> Some (`Route route, p))
-        | Some node -> Some (`Station node, p))
-      packets
-  in
-  match resolved with
-  | [] -> ()
-  | resolved ->
-    let serialisation =
-      List.fold_left
-        (fun acc (_, p) ->
-          Sim.Time.add acc (Link.serialisation_time sw.link p.Packet.size_bytes))
-        Sim.Time.zero resolved
-    in
-    let delay = Sim.Time.add sw.link.Link.latency serialisation in
-    ignore
-      (Sim.Engine.schedule_after sw.sw_engine delay (fun () ->
-           List.iter
-             (fun (target, p) ->
-               match target with
-               | `Station node -> deliver_on_wire sw node p
-               | `Route route -> route_on_wire sw route p)
-             resolved))
-
 module Switch = struct
   type t = switch
 
@@ -136,7 +94,6 @@ module Switch = struct
       sw_telemetry = telemetry;
       link;
       stations = Hashtbl.create 16;
-      delivered = 0;
       dropped = 0;
       routed = 0;
       default_route = None;
@@ -162,8 +119,6 @@ module Switch = struct
              ~component:"net" "packets_routed_total")
 
   let send = switch_send
-  let send_burst = switch_send_burst
-  let packets_delivered t = t.delivered
   let packets_dropped t = t.dropped
   let packets_routed t = t.routed
 end
@@ -196,8 +151,6 @@ module Node = struct
     Hashtbl.fold (fun port (to_, _) acc -> (port, to_) :: acc) t.forwards []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   let add_tap t tap = t.taps <- t.taps @ [ tap ]
-
-  let send (_ : t) ~via packet = switch_send via packet
 
   let route_through t packet = apply_taps t.taps packet
 

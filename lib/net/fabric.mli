@@ -38,15 +38,6 @@ module Switch : sig
       after the link's transfer time. Packets to unknown addresses are
       counted as dropped. *)
 
-  val send_burst : t -> Packet.t list -> unit
-  (** Route a burst of packets with a single engine event: the burst is
-      delivered (in order) after the link latency plus the sum of the
-      packets' serialisation times - a serial wire pays latency once
-      per back-to-back train. Destinations are resolved and unknown
-      addresses counted dropped at send time, as {!send} does. An empty
-      burst is a no-op. Test hook: no sender in the experiments batches
-      packets; tests pin the burst timing model. *)
-
   val set_default_route : t -> (Packet.t -> unit) option -> unit
   (** Install (or clear) the switch's escape hatch: a packet addressed
       to no attached station is handed to the callback after the usual
@@ -56,10 +47,6 @@ module Switch : sig
       [net_packets_routed_total{switch=name}] on the switch's sink;
       switches that never set one export exactly the series they always
       did. *)
-
-  val packets_delivered : t -> int
-  (** Test hook: tests check what reached attached stations; runs export
-      [net_packets_delivered_total]. *)
 
   val packets_dropped : t -> int
   (** Test hook: tests check drops to unknown addresses; runs export
@@ -106,9 +93,6 @@ module Node : sig
   (** Taps run in installation order on every arriving packet, before
       NAT and port handlers. The first [Drop] wins; [Rewrite] feeds the
       modified packet to the next tap. *)
-
-  val send : t -> via:switch -> Packet.t -> unit
-  (** Transmit a packet (convenience for [Switch.send]). *)
 
   val route_through : t -> Packet.t -> Packet.t option
   (** Treat the node as a middlebox on the packet's path: run its taps

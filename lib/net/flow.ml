@@ -10,10 +10,13 @@ let throughput_mbit_s ~bytes ~elapsed =
   let secs = Sim.Time.to_s elapsed in
   if secs <= 0. then 0. else float_of_int bytes *. 8. /. 1e6 /. secs
 
-let run ctx ~link ?(derate = 1.) ?(chunk_bytes = 65536) ?(burst_chunks = 16) ?(noise_rsd = 0.)
-    ?rng ?fault ~bytes () =
+(* The stream moves in 64 KiB chunks; without faults, one engine event
+   carries a burst of 16 of them. *)
+let chunk_bytes = 65536
+let burst_chunks = 16
+
+let run ctx ~link ?(derate = 1.) ?(noise_rsd = 0.) ?rng ?fault ~bytes () =
   if bytes < 0 then invalid_arg "Flow.run: negative byte count";
-  if burst_chunks < 1 then invalid_arg "Flow.run: burst_chunks must be at least 1";
   let engine = Sim.Ctx.engine ctx in
   let telemetry = Sim.Ctx.telemetry ctx in
   let m_bytes = Sim.Telemetry.counter telemetry ~component:"net" "flow_bytes_total" in

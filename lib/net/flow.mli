@@ -22,8 +22,6 @@ val run :
   Sim.Ctx.t ->
   link:Link.t ->
   ?derate:float ->
-  ?chunk_bytes:int ->
-  ?burst_chunks:int ->
   ?noise_rsd:float ->
   ?rng:Sim.Rng.t ->
   ?fault:Sim.Fault.t ->
@@ -32,19 +30,21 @@ val run :
   result
 (** Simulate transferring [bytes] over [link] with effective bandwidth
     [link.bandwidth * derate] (default derate 1.0). The transfer is
-    executed on the context's virtual clock in [chunk_bytes] units
-    (default 64 KiB); per-chunk jitter [noise_rsd] (default 0) models
-    scheduling noise. Without a fault injector the stream is paced one
-    engine event per [burst_chunks] chunks (default 16) instead of one
-    per chunk: per-chunk delays are still drawn and summed in stream
-    order, so the elapsed time is bit-identical for every
-    [burst_chunks] >= 1 ([Invalid_argument] below 1) while the event
-    count drops by the batching factor. [fault] (default absent: the
-    exact fault-free behaviour, no extra RNG draws) injects loss,
-    jitter, degradation, and outages per chunk - fault decisions are
-    per-chunk and time-dependent, so a faulted stream keeps the
-    chunk-at-a-time pacing and ignores [burst_chunks]. The engine is run until the flow completes -
-    every byte always arrives; faults only cost time. The context's
-    sink counts [net_flow_bytes_total], [net_flow_chunk_retransmits_total]
-    and [net_flow_link_downtime_ns_total], and records one ["flow"] span
-    per call. *)
+    executed on the context's virtual clock in 64 KiB chunks; per-chunk
+    jitter [noise_rsd] (default 0) models scheduling noise. Without a
+    fault injector the stream is paced one engine event per burst of 16
+    chunks instead of one per chunk: per-chunk delays are still drawn
+    and summed in stream order, so the elapsed time is what one event
+    per chunk would give while the event count drops sixteenfold.
+    [fault] (default absent: the exact fault-free behaviour, no extra
+    RNG draws) injects loss, jitter, degradation, and outages per chunk
+    - fault decisions are per-chunk and time-dependent, so a faulted
+    stream keeps the chunk-at-a-time pacing. The engine is run until
+    the flow completes - every byte always arrives; faults only cost
+    time. The context's sink counts [net_flow_bytes_total],
+    [net_flow_chunk_retransmits_total] and
+    [net_flow_link_downtime_ns_total], and records one ["flow"] span per
+    call. Test hook: only test_net sets [noise_rsd] ("fault-free bursts
+    add up the per-chunk delays") and [fault] (the lossy and outage
+    flow tests); Netperf draws its jitter once per run and passes
+    neither. *)

@@ -23,10 +23,6 @@ let loopback = make ~latency:(Sim.Time.us 50.) ~bandwidth_mbytes_per_s:2048.
 let lan_1gbe = make ~latency:(Sim.Time.us 200.) ~bandwidth_mbytes_per_s:117.
 let migration_loopback = make ~latency:(Sim.Time.us 80.) ~bandwidth_mbytes_per_s:50.
 
-let serialisation_time t bytes =
-  if bytes < 0 then invalid_arg "Link.serialisation_time: negative byte count";
-  Sim.Time.s (float_of_int bytes /. t.bandwidth_bytes_per_s)
-
 let transfer_time t bytes =
   if bytes < 0 then invalid_arg "Link.transfer_time: negative byte count";
   if bytes = 0 then t.latency

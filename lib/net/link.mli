@@ -34,12 +34,6 @@ val migration_loopback : t
     that an idle 1 GiB guest migrates L0-to-L1 in the ~26 s of Fig 4
     (after the per-level nested-destination derate). *)
 
-val serialisation_time : t -> int -> Sim.Time.t
-(** [serialisation_time t bytes] = bytes/bandwidth, without the
-    propagation latency - the per-packet cost a batched sender sums
-    before paying the latency once for the whole burst. Zero bytes cost
-    zero; a negative byte count raises [Invalid_argument]. *)
-
 val transfer_time : t -> int -> Sim.Time.t
 (** [transfer_time t bytes] = latency + bytes/bandwidth. Zero bytes cost
     exactly the latency; a negative byte count raises

@@ -24,10 +24,9 @@ let schedule_at t when_ f =
 let schedule_after t delay f = schedule_at t (Time.add t.clock delay) f
 let cancel t h = Event_queue.cancel t.queue h
 
-let periodic t ?start ~every f =
-  let first = match start with Some s -> s | None -> Time.add t.clock every in
+let periodic t ~every f =
   let rec tick () = if f () then ignore (schedule_after t every tick) in
-  ignore (schedule_at t first tick)
+  ignore (schedule_after t every tick)
 
 let step t =
   match Event_queue.pop t.queue with
@@ -53,5 +52,4 @@ let run ?(until = Time.infinity) t =
 
 let run_for t d = run ~until:(Time.add t.clock d) t
 
-let pending_events t = Event_queue.size t.queue
 let events_processed t = t.processed

@@ -28,9 +28,9 @@ val schedule_after : t -> Time.t -> (unit -> unit) -> event_handle
 
 val cancel : t -> event_handle -> unit
 
-val periodic : t -> ?start:Time.t -> every:Time.t -> (unit -> bool) -> unit
+val periodic : t -> every:Time.t -> (unit -> bool) -> unit
 (** [periodic t ~every f] runs [f] every [every] starting at
-    [start] (default [now + every]); it stops when [f] returns [false]. *)
+    [now + every]; it stops when [f] returns [false]. *)
 
 val run : ?until:Time.t -> t -> Time.t
 (** Process events in timestamp order until the queue is empty or the
@@ -42,10 +42,6 @@ val step : t -> bool
 
 val run_for : t -> Time.t -> Time.t
 (** [run_for t d] is [run ~until:(now t + d) t]. *)
-
-val pending_events : t -> int
-(** Test hook: tests check how many events a send or a burst
-    scheduled. *)
 
 exception Simulation_deadlock of string
 

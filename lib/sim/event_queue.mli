@@ -12,7 +12,8 @@ type handle
 
 val create : unit -> 'a t
 val size : 'a t -> int
-(** Number of live (non-cancelled) events. *)
+(** Number of live (non-cancelled) events. Test hook: test_event_queue
+    checks it against its model queue. *)
 
 val push : 'a t -> Time.t -> 'a -> handle
 val cancel : 'a t -> handle -> unit

@@ -19,7 +19,6 @@ module Sketch = struct
      sorted centroid arrays, O(centroids). *)
 
   type t = {
-    compression : int;
     buf : float array; (* pending raw samples, unit weight *)
     mutable buf_len : int;
     means : float array; (* live centroids, sorted by mean *)
@@ -33,18 +32,13 @@ module Sketch = struct
     scratch_w : float array;
   }
 
-  let default_compression = 128
-  let max_centroids compression = (2 * compression) + 2
-  let buffer_size compression = 4 * compression
+  let compression = 128
+  let max_centroids = (2 * compression) + 2
 
-  let create ?(compression = default_compression) () =
-    if compression < 8 then
-      invalid_arg "Stats.Sketch.create: compression must be >= 8";
-    let mc = max_centroids compression in
-    let bs = buffer_size compression in
+  let create () =
+    let mc = max_centroids in
     {
-      compression;
-      buf = Array.make bs 0.;
+      buf = Array.make (4 * compression) 0.;
       buf_len = 0;
       means = Array.make mc 0.;
       weights = Array.make mc 0.;
@@ -68,7 +62,7 @@ module Sketch = struct
      weight cap, so the output count stays under [max_centroids]: any
      two consecutive output clusters sum to more than the cap. *)
   let merge_compress t ~w_total ~src_m ~src_w ~src_n =
-    let limit = w_total /. float_of_int t.compression in
+    let limit = w_total /. float_of_int compression in
     let i = ref 0 and j = ref 0 and out = ref 0 in
     let cur_m = ref 0. and cur_w = ref 0. in
     let started = ref false in

@@ -21,8 +21,8 @@ module Sketch : sig
 
   type t
 
-  val create : ?compression:int -> unit -> t
-  (** Default compression is 128. Raises [Invalid_argument] below 8. *)
+  val create : unit -> t
+  (** A sketch at compression 128. *)
 
   val add : t -> float -> unit
 

@@ -20,12 +20,8 @@ type hist = {
   mutable total : int;
 }
 
-type summ = {
-  sk : Stats.Sketch.t;  (* mergeable digest of every recorded value *)
-  quantiles : float array;  (* strictly ascending, each in (0,1) *)
-}
-
-type kind = Counter of cell | Gauge of cell | Histogram of hist | Summary of summ
+(* A summary is a mergeable digest of every recorded value. *)
+type kind = Counter of cell | Gauge of cell | Histogram of hist | Summary of Stats.Sketch.t
 
 type entry = {
   base : string;
@@ -51,7 +47,7 @@ type t = {
 type counter = cell option
 type gauge = cell option
 type histogram = hist option
-type summary = summ option
+type summary = Stats.Sketch.t option
 
 let create ?(span_capacity = 65536) () =
   {
@@ -171,25 +167,14 @@ let histogram sink ?labels ?(buckets = default_buckets) ~component name =
     | Histogram h -> Some h
     | k -> mismatch ~component name k)
 
-let default_quantiles = [ 0.5; 0.9; 0.99 ]
+(* The export points of every summary series. *)
+let quantiles = [ 0.5; 0.9; 0.99 ]
 
-let summary sink ?labels ?(quantiles = default_quantiles) ~component name =
+let summary sink ~component name =
   match sink with
   | None -> None
   | Some t ->
-    let mk () =
-      let qs = Array.of_list quantiles in
-      if Array.length qs = 0 then invalid_arg "Telemetry.summary: empty quantile list";
-      Array.iteri
-        (fun i q ->
-          if q <= 0. || q >= 1. then
-            invalid_arg "Telemetry.summary: quantiles must lie in (0,1)";
-          if i > 0 && q <= qs.(i - 1) then
-            invalid_arg "Telemetry.summary: quantiles must be strictly ascending")
-        qs;
-      Summary { sk = Stats.Sketch.create (); quantiles = qs }
-    in
-    (match register t ?labels ~component name mk with
+    (match register t ~component name (fun () -> Summary (Stats.Sketch.create ())) with
     | Summary s -> Some s
     | k -> mismatch ~component name k)
 
@@ -210,7 +195,7 @@ let addf c x =
     c.v <- c.v +. x
 
 let set g x = match g with None -> () | Some g -> g.v <- x
-let record s x = match s with None -> () | Some s -> Stats.Sketch.add s.sk x
+let record s x = match s with None -> () | Some s -> Stats.Sketch.add s x
 
 let observe h x =
   match h with
@@ -251,12 +236,12 @@ let histogram_count t key =
 
 let summary_count t key =
   match Hashtbl.find_opt t.series key with
-  | Some { kind = Summary s; _ } -> Some (Stats.Sketch.count s.sk)
+  | Some { kind = Summary s; _ } -> Some (Stats.Sketch.count s)
   | Some _ | None -> None
 
 let summary_quantile t key q =
   match Hashtbl.find_opt t.series key with
-  | Some { kind = Summary s; _ } -> Some (Stats.Sketch.quantile s.sk q)
+  | Some { kind = Summary s; _ } -> Some (Stats.Sketch.quantile s q)
   | Some _ | None -> None
 
 let fold_series t ~init ~f =
@@ -269,7 +254,7 @@ let fold_series t ~init ~f =
       match e.kind with
       | Counter c | Gauge c -> f acc key c.v
       | Histogram h -> f acc key (float_of_int h.total)
-      | Summary s -> f acc key (float_of_int (Stats.Sketch.count s.sk)))
+      | Summary s -> f acc key (float_of_int (Stats.Sketch.count s)))
     init entries
 
 let sorted_entries t =
@@ -283,7 +268,7 @@ let copy_kind = function
   | Histogram h ->
     Histogram
       { bounds = h.bounds; counts = Array.copy h.counts; sum = h.sum; total = h.total }
-  | Summary s -> Summary { sk = Stats.Sketch.copy s.sk; quantiles = s.quantiles }
+  | Summary s -> Summary (Stats.Sketch.copy s)
 
 let merge_into ~into ?(span_fields = []) child =
   List.iter
@@ -301,11 +286,7 @@ let merge_into ~into ?(span_fields = []) child =
           Array.iteri (fun i n -> a.counts.(i) <- a.counts.(i) + n) b.counts;
           a.sum <- a.sum +. b.sum;
           a.total <- a.total + b.total
-        | Summary a, Summary b ->
-          if a.quantiles <> b.quantiles then
-            invalid_arg
-              (Printf.sprintf "Telemetry.merge_into: quantile sets differ for %s" key);
-          Stats.Sketch.merge_into ~into:a.sk b.sk
+        | Summary a, Summary b -> Stats.Sketch.merge_into ~into:a b
         | _ ->
           invalid_arg (Printf.sprintf "Telemetry.merge_into: kind mismatch for %s" key)))
     (sorted_entries child);
@@ -348,18 +329,18 @@ let pp_prometheus ppf t =
           (fmt_value h.sum);
         Format.fprintf ppf "%s %d@\n" (render_series (e.base ^ "_count") e.labels) h.total
       | Summary s ->
-        Array.iter
+        List.iter
           (fun q ->
             Format.fprintf ppf "%s %s@\n"
               (render_series e.base (e.labels @ [ ("quantile", fmt_value q) ]))
-              (fmt_value (Stats.Sketch.quantile s.sk q)))
-          s.quantiles;
+              (fmt_value (Stats.Sketch.quantile s q)))
+          quantiles;
         Format.fprintf ppf "%s %s@\n"
           (render_series (e.base ^ "_sum") e.labels)
-          (fmt_value (Stats.Sketch.sum s.sk));
+          (fmt_value (Stats.Sketch.sum s));
         Format.fprintf ppf "%s %d@\n"
           (render_series (e.base ^ "_count") e.labels)
-          (Stats.Sketch.count s.sk))
+          (Stats.Sketch.count s))
     (sorted_entries t)
 
 let prometheus_string t = Format.asprintf "%a" pp_prometheus t
@@ -405,18 +386,18 @@ let pp_jsonl ppf t =
       match e.kind with
       | Counter _ | Gauge _ | Histogram _ -> ()
       | Summary s ->
-        let n = Stats.Sketch.count s.sk in
+        let n = Stats.Sketch.count s in
         Format.fprintf ppf "{\"summary\":\"%s\",\"count\":%d,\"sum\":%s,\"quantiles\":{"
           (json_escape key) n
-          (fmt_value (Stats.Sketch.sum s.sk));
+          (fmt_value (Stats.Sketch.sum s));
         if n > 0 then
-          Array.iteri
+          List.iteri
             (fun i q ->
               Format.fprintf ppf "%s\"%s\":%s"
                 (if i > 0 then "," else "")
                 (fmt_value q)
-                (fmt_value (Stats.Sketch.quantile s.sk q)))
-            s.quantiles;
+                (fmt_value (Stats.Sketch.quantile s q)))
+            quantiles;
         Format.fprintf ppf "}}@\n")
     (sorted_entries t)
 

@@ -34,7 +34,9 @@ type labels = (string * string) list
 
 val create : ?span_capacity:int -> unit -> t
 (** [span_capacity] (default 65536) bounds retained spans; the oldest are
-    dropped first once exceeded (see {!spans_dropped}). *)
+    dropped first once exceeded (see {!spans_dropped}). Test hook: only
+    test_telemetry's "span capacity drops oldest" sets it, to a ring of
+    two. *)
 
 val create_like : t -> t
 (** An empty sink with the same configuration - used for per-trial child
@@ -79,18 +81,15 @@ val histogram :
 
 val observe : histogram -> float -> unit
 
-val summary :
-  t option -> ?labels:labels -> ?quantiles:float list -> component:string -> string ->
-  summary
+val summary : t option -> component:string -> string -> summary
 (** [summary sink ~component name] registers (or re-opens) a quantile
     summary series backed by a {!Stats.Sketch}: storage stays bounded
     however many values are recorded, and sinks merged with
-    {!merge_into} combine their sketches in O(centroids). [quantiles]
-    (default [[0.5; 0.9; 0.99]]) are the export points, each strictly
-    inside (0,1) and ascending; estimates carry the sketch's documented
-    rank error. Exported as [name{quantile="q"}] lines plus
-    [_sum]/[_count] in Prometheus text, and as one JSON object per
-    series after the spans in JSONL. *)
+    {!merge_into} combine their sketches in O(centroids). The export
+    points are the quantiles 0.5, 0.9 and 0.99; estimates carry the
+    sketch's documented rank error. Exported as [name{quantile="q"}]
+    lines plus [_sum]/[_count] in Prometheus text, and as one JSON
+    object per series after the spans in JSONL. *)
 
 val record : summary -> float -> unit
 (** Record one observation into the summary's sketch. *)
@@ -149,8 +148,7 @@ val merge_into : into:t -> ?span_fields:labels -> t -> unit
 (** [merge_into ~into child] folds [child] into [into]: counters add,
     gauges take the child's value, histograms add bucket-wise (raising
     [Invalid_argument] if bucket bounds differ), summaries merge their
-    sketches (raising [Invalid_argument] if the quantile sets differ),
-    and spans are appended in order with [span_fields] appended to each
+    sketches, and spans are appended in order with [span_fields] appended to each
     span's fields (used to tag spans with their trial index).
     Deterministic given a fixed merge order. *)
 

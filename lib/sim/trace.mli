@@ -18,7 +18,8 @@ type t
 
 val create : ?capacity:int -> unit -> t
 (** [capacity] (default 65536) bounds retained records; older records are
-    dropped first once exceeded. *)
+    dropped first once exceeded. Test hook: only test_sim's "capacity
+    drops oldest" sets it, to a ring of three. *)
 
 val emitf :
   t -> Time.t -> level -> component:string ->

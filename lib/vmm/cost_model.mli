@@ -26,19 +26,11 @@
     multiplies exit costs again, which is what makes deeply nested
     rootkits progressively less stealthy. *)
 
-type params = {
-  exit_l1 : Sim.Time.t;  (** one software VM exit at L1 (default 1.63 µs) *)
-  nested_exit_multiplier : float;
-      (** cost growth of a software exit per extra nesting level
-          (default 19.0) *)
-  nested_page_fault : Sim.Time.t;
-      (** L0-emulated hardware fault taken at L2 (default 1.3 µs) *)
-  l2_cpu_derate : float;
-      (** multiplicative CPU slowdown per level beyond L1
-          (default 1.03) *)
-}
-
-val default_params : params
+val nested_exit_multiplier : float
+(** Cost growth of a software exit per extra nesting level: 19. A
+    software exit costs 1.63 µs at L1, an L0-emulated hardware fault
+    taken at L2 costs 1.3 µs, and CPU work slows by 3 % per level
+    beyond L1. *)
 
 type op = {
   name : string;
@@ -67,15 +59,14 @@ val pure_cpu_ns : name:string -> ns:float -> op
 (** An operation of [ns] nanoseconds of CPU work and no virtualization
     cost beyond the CPU derate. *)
 
-val cost_ns : ?params:params -> level:Level.t -> op -> float
+val cost_ns : level:Level.t -> op -> float
 (** Unrounded cost in nanoseconds - needed for sub-nanosecond ops
     (lmbench arithmetic rows are fractions of a nanosecond). *)
 
-val cost_n : ?params:params -> level:Level.t -> op -> int -> Sim.Time.t
+val cost_n : level:Level.t -> op -> int -> Sim.Time.t
 (** Cost of [n] consecutive operations. *)
 
 val calibrate_hw_faults :
-  ?params:params ->
   name:string ->
   l0:Sim.Time.t ->
   l1:Sim.Time.t ->

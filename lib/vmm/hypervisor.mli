@@ -27,7 +27,8 @@ val create_l0 :
     switch and every launched VM (registering the
     [vmm_vm_launches_total{level=...}], [vmm_vm_kills_total{hv=...}] and
     [vmm_vms_running{hv=...}] series), and its trace receives launch and
-    kill records. *)
+    kill records. Test hook: only test_integration's "host RAM exhaustion
+    surfaces as a launch error" sets [ram_gb], to 1 GB. *)
 
 val create_nested : ?use_vtx:bool -> Sim.Ctx.t -> vm:Vm.t -> name:string -> (t, string) result
 (** A hypervisor inside [vm] (the RITM's own QEMU/KVM). Fails when the

@@ -90,12 +90,12 @@ type migration_pair = {
   mp_nested_hv : Hypervisor.t option;
 }
 
-let migration_pair ?ksm_config ?config ?(incoming_port = 5601) ~nested_dest ctx =
+let migration_pair ?ksm_config ?config ~nested_dest ctx =
   let ctx, _uplink, host = make_host ?ksm_config ctx in
   let config = match config with Some c -> c | None -> guest_config () in
   let source = get_ok "migration_pair(source)" (Hypervisor.launch host config) in
   let dest_config =
-    Qemu_config.with_incoming (Qemu_config.with_name config "dest") ~port:incoming_port
+    Qemu_config.with_incoming (Qemu_config.with_name config "dest") ~port:5601
   in
   if not nested_dest then begin
     let dest = get_ok "migration_pair(dest)" (Hypervisor.launch host dest_config) in
@@ -120,9 +120,9 @@ let migration_pair ?ksm_config ?config ?(incoming_port = 5601) ~nested_dest ctx 
       mp_guestx = Some guestx; mp_nested_hv = Some nested_hv }
   end
 
-let of_level ?ksm_config ctx level =
+let of_level ctx level =
   match Level.to_int level with
-  | 0 -> bare_metal ?ksm_config ctx
-  | 1 -> single_guest ?ksm_config ctx
-  | 2 -> nested_guest ?ksm_config ctx
+  | 0 -> bare_metal ctx
+  | 1 -> single_guest ctx
+  | 2 -> nested_guest ctx
   | n -> invalid_arg (Printf.sprintf "Layers.of_level: L%d topology not predefined" n)

@@ -27,12 +27,16 @@ val bare_metal : ?ksm_config:Memory.Ksm.config -> ?workspace_mb:int -> Sim.Ctx.t
     code runs in. In all constructors here, the context is the
     topology's instrumentation root (threaded into the uplink switch and
     every hypervisor). Test hook: experiments reach it through {!of_level};
-    tests build the level directly. *)
+    tests build the level directly. [ksm_config] and [workspace_mb] are
+    test hooks too: test_vmm's "bare_metal runs at L0" passes a fast
+    ksmd and an 8 MB workspace. *)
 
 val single_guest : ?ksm_config:Memory.Ksm.config -> ?config:Qemu_config.t -> Sim.Ctx.t -> env
 (** L1: a host plus one running guest (default config: the paper's 1 GB
     VM, SSH forwarded from host port 2222). Test hook: experiments reach it
-    through {!of_level}; tests build the level directly. *)
+    through {!of_level}; tests build the level directly. [ksm_config] and
+    [config] are test hooks too: test_vmm's "single_guest runs at L1"
+    passes a fast ksmd and an 8 MB guest. *)
 
 val nested_guest :
   ?ksm_config:Memory.Ksm.config ->
@@ -43,9 +47,12 @@ val nested_guest :
 (** L2: a host, a [guestx_memory_mb] (default 2048) L1 VM with nested
     VMX, a hypervisor inside it, and a nested guest (default: the same
     1 GB config as {!single_guest}) running at L2. Test hook: experiments
-    reach it through {!of_level}; tests build the level directly. *)
+    reach it through {!of_level}; tests build the level directly.
+    [ksm_config], [guestx_memory_mb] and [config] are test hooks too:
+    test_vmm's "nested_guest runs at L2" passes a fast ksmd, a 64 MB
+    GuestX and an 8 MB guest. *)
 
-val of_level : ?ksm_config:Memory.Ksm.config -> Sim.Ctx.t -> Level.t -> env
+val of_level : Sim.Ctx.t -> Level.t -> env
 (** Dispatch on 0, 1 or 2; raises [Invalid_argument] on deeper levels. *)
 
 type migration_pair = {
@@ -60,11 +67,13 @@ type migration_pair = {
 val migration_pair :
   ?ksm_config:Memory.Ksm.config ->
   ?config:Qemu_config.t ->
-  ?incoming_port:int ->
   nested_dest:bool ->
   Sim.Ctx.t ->
   migration_pair
 (** The Fig 4 topology: a source VM at L1 and a matching destination
-    paused in the incoming state - either another L1 VM on the same
-    host (the paper's "L0-L0" series) or a VM nested inside a GuestX
-    (the "L0-L1" series, CloudSkulk's move). *)
+    paused in the incoming state on port 5601 - either another L1 VM on
+    the same host (the paper's "L0-L0" series) or a VM nested inside a
+    GuestX (the "L0-L1" series, CloudSkulk's move). [ksm_config] and
+    [config] (default: the paper's 1 GB guest) are set by the fuzzer's
+    side migrations, which need a small, fast world, and by the
+    migration and chaos tests. *)

@@ -5,7 +5,6 @@ type proc = {
   name : string;
   cmdline : string;
   started_at : Sim.Time.t;
-  parent : pid option;
 }
 
 type t = {
@@ -14,7 +13,10 @@ type t = {
   mutable next_pid : pid;
 }
 
-let create ?(first_pid = 300) engine = { engine; procs = Hashtbl.create 64; next_pid = first_pid }
+(* Roughly where a freshly booted system starts handing out PIDs. *)
+let first_pid = 300
+
+let create engine = { engine; procs = Hashtbl.create 64; next_pid = first_pid }
 
 let fresh_pid t =
   let rec find p = if Hashtbl.mem t.procs p then find (p + 1) else p in
@@ -22,9 +24,9 @@ let fresh_pid t =
   t.next_pid <- p + 1;
   p
 
-let spawn ?parent t ~name ~cmdline =
+let spawn t ~name ~cmdline =
   let proc =
-    { pid = fresh_pid t; name; cmdline; started_at = Sim.Engine.now t.engine; parent }
+    { pid = fresh_pid t; name; cmdline; started_at = Sim.Engine.now t.engine }
   in
   Hashtbl.replace t.procs proc.pid proc;
   proc
@@ -71,9 +73,7 @@ let ps_ef t =
   List.iter
     (fun p ->
       Buffer.add_string buf
-        (Printf.sprintf "%d\t%s\t%s\t%s\n" p.pid
-           (match p.parent with Some pp -> string_of_int pp | None -> "-")
-           (Sim.Time.to_string p.started_at)
+        (Printf.sprintf "%d\t-\t%s\t%s\n" p.pid (Sim.Time.to_string p.started_at)
            p.cmdline))
     (all t);
   Buffer.contents buf

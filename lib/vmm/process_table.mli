@@ -12,16 +12,15 @@ type proc = {
   name : string;
   cmdline : string;
   started_at : Sim.Time.t;
-  parent : pid option;
 }
 
 type t
 
-val create : ?first_pid:pid -> Sim.Engine.t -> t
-(** [first_pid] defaults to 300, roughly where a freshly booted system
-    starts handing out PIDs. *)
+val create : Sim.Engine.t -> t
+(** PIDs are handed out from 300, roughly where a freshly booted system
+    starts. *)
 
-val spawn : ?parent:pid -> t -> name:string -> cmdline:string -> proc
+val spawn : t -> name:string -> cmdline:string -> proc
 val kill : t -> pid -> bool
 (** [false] if no such process. *)
 
@@ -43,6 +42,7 @@ val reassign_pid : t -> old_pid:pid -> new_pid:pid -> (unit, string) result
 
 val ps_ef : t -> string
 (** Rendered listing, one process per line: what the attacker greps.
+    No process records a parent, so the PPID column reads [-].
     Test hook: tests check the listing and its determinism. *)
 
 val grep_cmdline : t -> substring:string -> proc list

@@ -5,16 +5,14 @@ type t = {
   ram : Memory.Address_space.t;
   rng : Sim.Rng.t;
   vm : Vmm.Vm.t option;
-  params : Vmm.Cost_model.params;
   noise_rsd : float;
 }
 
-let make ?(noise_rsd = 0.02) ?(params = Vmm.Cost_model.default_params) ?vm ~ctx ~level ~ram
-    ~rng () =
-  { ctx; engine = Sim.Ctx.engine ctx; level; ram; rng; vm; params; noise_rsd }
+let make ?(noise_rsd = 0.02) ?vm ~ctx ~level ~ram ~rng () =
+  { ctx; engine = Sim.Ctx.engine ctx; level; ram; rng; vm; noise_rsd }
 
-let of_layers ?noise_rsd ?params (env : Vmm.Layers.env) =
-  make ?noise_rsd ?params ?vm:env.Vmm.Layers.exec_vm ~ctx:env.Vmm.Layers.ctx
+let of_layers ?noise_rsd (env : Vmm.Layers.env) =
+  make ?noise_rsd ?vm:env.Vmm.Layers.exec_vm ~ctx:env.Vmm.Layers.ctx
     ~level:env.Vmm.Layers.exec_level ~ram:env.Vmm.Layers.exec_ram
     ~rng:(Sim.Ctx.fork_rng env.Vmm.Layers.ctx)
     ()
@@ -29,12 +27,12 @@ let charge_exits t n =
     if depth >= 2 && n > 0 then
       Vmm.Vm.record_nested_fanout vm
         (int_of_float
-           (float_of_int n *. t.params.Vmm.Cost_model.nested_exit_multiplier
+           (float_of_int n *. Vmm.Cost_model.nested_exit_multiplier
           *. float_of_int (depth - 1)))
   | None -> ()
 
 let consume t op n =
-  let base = Vmm.Cost_model.cost_n ~params:t.params ~level:t.level op n in
+  let base = Vmm.Cost_model.cost_n ~level:t.level op n in
   let elapsed = Sim.Time.mul base (Sim.Rng.lognormal_noise t.rng ~rsd:t.noise_rsd) in
   ignore (Sim.Engine.run_for t.engine elapsed);
   (match t.vm with

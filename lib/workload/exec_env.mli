@@ -12,16 +12,14 @@ type t = {
   ram : Memory.Address_space.t;
   rng : Sim.Rng.t;
   vm : Vmm.Vm.t option;
-  params : Vmm.Cost_model.params;
   noise_rsd : float;  (** run-to-run jitter applied to measured workloads *)
 }
 
-val of_layers : ?noise_rsd:float -> ?params:Vmm.Cost_model.params -> Vmm.Layers.env -> t
+val of_layers : ?noise_rsd:float -> Vmm.Layers.env -> t
 (** Adopt a {!Vmm.Layers.env} topology (default noise 2 %). *)
 
 val make :
   ?noise_rsd:float ->
-  ?params:Vmm.Cost_model.params ->
   ?vm:Vmm.Vm.t ->
   ctx:Sim.Ctx.t ->
   level:Vmm.Level.t ->
@@ -29,6 +27,9 @@ val make :
   rng:Sim.Rng.t ->
   unit ->
   t
+(** An environment at [level] over [ram] (default noise 2 %). Test hook:
+    only test_workload's environments set [noise_rsd], to 0 for exact
+    timings or to a chosen jitter. *)
 
 val consume : t -> Vmm.Cost_model.op -> int -> Sim.Time.t
 (** [consume env op n]: price [n] ops at the env's level with noise,

@@ -77,7 +77,7 @@ let fs =
   ]
 
 let measure ?(iterations = 10_000) env op =
-  let base = cost_ns ~params:env.Exec_env.params ~level:env.Exec_env.level op in
+  let base = cost_ns ~level:env.Exec_env.level op in
   let noisy =
     base *. Sim.Rng.lognormal_noise env.Exec_env.rng ~rsd:env.Exec_env.noise_rsd
   in

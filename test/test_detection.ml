@@ -93,12 +93,8 @@ let detection_tests =
         Alcotest.(check bool) "error" true
           (Result.is_error (Cloudskulk.Dedup_detector.run env)));
     Alcotest.test_case "small probe sizes still detect (Section VI-D claim)" `Slow (fun () ->
-        let config =
-          { Cloudskulk.Dedup_detector.default_config with
-            Cloudskulk.Dedup_detector.file_pages = 4 }
-        in
         let sc = Cloudskulk.Scenarios.infected (Sim.Ctx.create ()) in
-        (match Cloudskulk.Dedup_detector.run ~config sc.Cloudskulk.Scenarios.detector_env with
+        (match Cloudskulk.Dedup_detector.run ~file_pages:4 sc.Cloudskulk.Scenarios.detector_env with
         | Ok o ->
           Alcotest.(check bool) "detected with 4 pages" true
             (o.Cloudskulk.Dedup_detector.verdict

@@ -30,7 +30,7 @@ let story_tests =
         let kl = Cloudskulk.Services.start_keylogger ritm ~ports:[ 22 ] in
         let user = Net.Fabric.Node.create ~addr:"203.0.113.5" in
         Net.Fabric.Node.attach user uplink;
-        Net.Fabric.Node.send user ~via:uplink
+        Net.Fabric.Switch.send uplink
           (Net.Packet.make ~id:1
              ~src:(Net.Packet.endpoint "203.0.113.5" 50000)
              ~dst:(Net.Packet.endpoint "192.168.1.100" 2222)

@@ -288,113 +288,34 @@ let flow_tests =
 
 let burst_tests =
   [
-    Alcotest.test_case "burst size never changes a fault-free flow's timing" `Quick (fun () ->
-        (* the batched sender must sum exactly the per-chunk delays the
-           chunk-at-a-time sender would schedule, so elapsed time is
-           independent of burst_chunks - including with jitter, where
-           the RNG draws must happen in the same chunk order *)
+    Alcotest.test_case "fault-free bursts add up the per-chunk delays" `Quick (fun () ->
+        (* the batched sender must sum exactly the per-chunk delays a
+           chunk-at-a-time sender would schedule - including with
+           jitter, where the RNG draws must happen in chunk order - so
+           the elapsed time is the latency plus that sum *)
         let bytes = (16 * 1024 * 1024) + 12345 in
         let link = Net.Link.make ~latency:(Sim.Time.us 200.) ~bandwidth_mbytes_per_s:117. in
-        let elapsed burst_chunks noise_rsd =
-          let e = engine () in
-          let rng = Sim.Rng.create 42 in
-          let r = Net.Flow.run e ~link ~burst_chunks ~noise_rsd ~rng ~bytes () in
-          Sim.Time.to_ns r.Net.Flow.elapsed
-        in
         List.iter
-          (fun rsd ->
-            let one = elapsed 1 rsd in
-            Alcotest.(check int64) "burst 16" one (elapsed 16 rsd);
-            Alcotest.(check int64) "burst 7" one (elapsed 7 rsd);
-            Alcotest.(check int64) "burst 1000" one (elapsed 1000 rsd))
+          (fun noise_rsd ->
+            let r =
+              Net.Flow.run (engine ()) ~link ~noise_rsd ~rng:(Sim.Rng.create 42) ~bytes ()
+            in
+            let rng = Sim.Rng.create 42 in
+            let rec per_chunk acc remaining =
+              if remaining <= 0 then acc
+              else
+                let this = min 65536 remaining in
+                let d =
+                  Sim.Time.mul
+                    (Sim.Time.s (float_of_int this /. link.Net.Link.bandwidth_bytes_per_s))
+                    (Sim.Rng.lognormal_noise rng ~rsd:noise_rsd)
+                in
+                per_chunk (Sim.Time.add acc d) (remaining - this)
+            in
+            Alcotest.(check int64) "latency + per-chunk sum"
+              (Sim.Time.to_ns (per_chunk link.Net.Link.latency bytes))
+              (Sim.Time.to_ns r.Net.Flow.elapsed))
           [ 0.; 0.3 ]);
-    Alcotest.test_case "burst_chunks below 1 raises" `Quick (fun () ->
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore
-               (Net.Flow.run (engine ()) ~link:Net.Link.loopback ~burst_chunks:0 ~bytes:1 ());
-             false
-           with Invalid_argument _ -> true));
-    Alcotest.test_case "faulted flows ignore burst_chunks" `Quick (fun () ->
-        (* fault decisions are per-chunk and time-dependent, so the
-           faulted path keeps chunk-at-a-time pacing: any burst size
-           must reproduce the burst-1 schedule exactly *)
-        let bytes = 8 * 1024 * 1024 in
-        let link = Net.Link.make ~latency:Sim.Time.zero ~bandwidth_mbytes_per_s:100. in
-        let elapsed burst_chunks =
-          let e = engine () in
-          let fault = Sim.Fault.create Sim.Fault.lossy (Sim.Rng.create 7) in
-          let r = Net.Flow.run e ~link ~burst_chunks ~fault ~bytes () in
-          (Sim.Time.to_ns r.Net.Flow.elapsed, r.Net.Flow.retransmits)
-        in
-        let t1, rt1 = elapsed 1 in
-        let t64, rt64 = elapsed 64 in
-        Alcotest.(check int64) "same elapsed" t1 t64;
-        Alcotest.(check int) "same retransmits" rt1 rt64;
-        Alcotest.(check bool) "faults actually fired" true (rt1 > 0));
-    Alcotest.test_case "send_burst delivers every packet in order, one event" `Quick
-      (fun () ->
-        let e, sw = mk_world () in
-        let n = Net.Fabric.Node.create ~addr:"10.0.0.1" in
-        Net.Fabric.Node.attach n sw;
-        let got = ref [] in
-        Net.Fabric.Node.listen n 80 (fun p -> got := p.Net.Packet.payload :: !got);
-        let pkt id payload =
-          Net.Packet.make ~id
-            ~src:(Net.Packet.endpoint "x" 1)
-            ~dst:(Net.Packet.endpoint "10.0.0.1" 80)
-            payload
-        in
-        Net.Fabric.Switch.send_burst sw [ pkt 1 "a"; pkt 2 "b"; pkt 3 "c" ];
-        Alcotest.(check int) "one event pending" 1
-          (Sim.Engine.pending_events (Sim.Ctx.engine e));
-        ignore (Sim.Engine.run (Sim.Ctx.engine e));
-        Alcotest.(check (list string)) "in order" [ "a"; "b"; "c" ] (List.rev !got);
-        Alcotest.(check int) "delivered counted" 3 (Net.Fabric.Switch.packets_delivered sw));
-    Alcotest.test_case "send_burst pays latency once plus summed serialisation" `Quick
-      (fun () ->
-        let e = engine () in
-        let link = Net.Link.make ~latency:(Sim.Time.ms 1.) ~bandwidth_mbytes_per_s:1. in
-        let sw = Net.Fabric.Switch.create e ~name:"sw" ~link in
-        let n = Net.Fabric.Node.create ~addr:"a" in
-        Net.Fabric.Node.attach n sw;
-        let at = ref Sim.Time.zero in
-        Net.Fabric.Node.listen n 1 (fun _ -> at := Sim.Engine.now (Sim.Ctx.engine e));
-        let pkt id =
-          Net.Packet.make ~id ~size_bytes:(512 * 1024)
-            ~src:(Net.Packet.endpoint "x" 1)
-            ~dst:(Net.Packet.endpoint "a" 1)
-            "p"
-        in
-        Net.Fabric.Switch.send_burst sw [ pkt 1; pkt 2 ];
-        ignore (Sim.Engine.run (Sim.Ctx.engine e));
-        (* 1 ms latency + 2 x 0.5 s serialisation at 1 MB/s *)
-        let expect =
-          Sim.Time.add (Sim.Time.ms 1.)
-            (Sim.Time.add
-               (Net.Link.serialisation_time link (512 * 1024))
-               (Net.Link.serialisation_time link (512 * 1024)))
-        in
-        Alcotest.(check int64) "arrival" (Sim.Time.to_ns expect) (Sim.Time.to_ns !at));
-    Alcotest.test_case "send_burst drops unknown addresses at send time" `Quick (fun () ->
-        let e, sw = mk_world () in
-        let n = Net.Fabric.Node.create ~addr:"10.0.0.1" in
-        Net.Fabric.Node.attach n sw;
-        let pkt id addr =
-          Net.Packet.make ~id
-            ~src:(Net.Packet.endpoint "x" 1)
-            ~dst:(Net.Packet.endpoint addr 80)
-            "?"
-        in
-        Net.Fabric.Switch.send_burst sw [ pkt 1 "10.0.0.1"; pkt 2 "10.9.9.9"; pkt 3 "10.0.0.1" ];
-        Alcotest.(check int) "dropped immediately" 1 (Net.Fabric.Switch.packets_dropped sw);
-        ignore (Sim.Engine.run (Sim.Ctx.engine e));
-        Alcotest.(check int) "survivors delivered" 2 (Net.Fabric.Switch.packets_delivered sw));
-    Alcotest.test_case "empty burst is a no-op" `Quick (fun () ->
-        let e, sw = mk_world () in
-        Net.Fabric.Switch.send_burst sw [];
-        Alcotest.(check int) "no events" 0 (Sim.Engine.pending_events (Sim.Ctx.engine e));
-        Alcotest.(check int) "nothing dropped" 0 (Net.Fabric.Switch.packets_dropped sw));
   ]
 
 let net_props =

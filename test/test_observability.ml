@@ -197,17 +197,6 @@ let telemetry_tests =
         Alcotest.(check bool) "quantile series" true
           (contains_sub prom {|m_lat_ns{quantile="0.5"}|});
         Alcotest.(check bool) "count series" true (contains_sub prom "m_lat_ns_count 100"));
-    Alcotest.test_case "invalid quantile lists are rejected" `Quick (fun () ->
-        let t = create () in
-        let rejected qs =
-          try
-            let _ = summary (Some t) ~quantiles:qs ~component:"m" "bad_ns" in
-            false
-          with Invalid_argument _ -> true
-        in
-        Alcotest.(check bool) "descending" true (rejected [ 0.9; 0.5 ]);
-        Alcotest.(check bool) "zero" true (rejected [ 0.; 0.5 ]);
-        Alcotest.(check bool) "one" true (rejected [ 0.5; 1. ]));
     Alcotest.test_case "kind mismatch with an existing series raises" `Quick (fun () ->
         let t = create () in
         let _ = counter (Some t) ~component:"c" "x" in
@@ -216,7 +205,7 @@ let telemetry_tests =
              let _ = summary (Some t) ~component:"c" "x" in
              false
            with Invalid_argument _ -> true));
-    Alcotest.test_case "merge_into adds counts; quantile sets must match" `Quick
+    Alcotest.test_case "merge_into adds summary counts" `Quick
       (fun () ->
         let a = create () and b = create () in
         let sa = summary (Some a) ~component:"m" "lat_ns" in
@@ -226,14 +215,7 @@ let telemetry_tests =
         record sb 3.;
         merge_into ~into:a b;
         Alcotest.(check (option int)) "3 observations" (Some 3)
-          (summary_count a "m_lat_ns");
-        let c = create () in
-        let _ = summary (Some c) ~quantiles:[ 0.5 ] ~component:"m" "lat_ns" in
-        Alcotest.(check bool) "mismatched quantiles rejected" true
-          (try
-             merge_into ~into:a c;
-             false
-           with Invalid_argument _ -> true));
+          (summary_count a "m_lat_ns"));
     Alcotest.test_case "jsonl carries summaries; empty ones have no quantiles" `Quick
       (fun () ->
         let t = create () in
