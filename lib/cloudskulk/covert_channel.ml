@@ -1,5 +1,5 @@
-(* One page per bit slot; a frame waits 2.5 full ksmd passes; both
-   parties derive the codebook from a fixed seed. *)
+(* A frame waits [wait_factor] full ksmd passes for the slots to merge;
+   both parties derive the codebook from [codebook_seed]. *)
 let pages_per_bit = 1
 let wait_factor = 2.5
 let codebook_seed = 0xC0DE

@@ -14,9 +14,9 @@ let verdict_equal a b =
   | Inconclusive x, Inconclusive y -> String.equal x y
   | (Nested_vm_detected | No_nested_vm | Inconclusive _), _ -> false
 
-(* The paper's settings: after each load, wait 2.5 full ksmd passes; a
-   mean write three times t0's is "merged"; File-A-v2 is derived with a
-   fixed salt. *)
+(* The paper's settings: after each load the detector waits
+   [wait_factor] full ksmd passes, and a mean write [merge_ratio] times
+   t0's counts as merged. *)
 let wait_factor = 2.5
 let merge_ratio = 3.0
 let mutate_salt = 0x5A17

@@ -11,10 +11,9 @@ let find_op name =
   | Some op -> op
   | None -> invalid_arg ("L2_timing_detector: unknown lmbench op " ^ name)
 
-(* The naive detector times lmbench's pipe latency; the consistency
-   variant adds two ops with different exit/fault profiles. A ratio of
-   observed to expected above 3 cries nested; each op's timing loop runs
-   1000 iterations. *)
+(* The naive detector times [reference_op] alone; the consistency
+   variant adds ops with different exit/fault profiles. An
+   observed/expected ratio above [threshold] cries nested. *)
 let reference_op = find_op "pipe latency"
 
 let consistency_ops =

@@ -41,15 +41,22 @@ type t = {
   mutable packet_seq : int;
 }
 
-(* What every fleet shares: 4 MB tenant VMs, 12 cross-host chatter
-   packets per host-hour, ksmd paced for a standing fleet rather than a
-   microbenchmark (256-page batches, 500 ms sleeps, incremental rescans
-   so steady-state wakeups cost O(dirtied pages)), and host 0's SOC
-   auditing one host every 25 minutes. *)
+(* What every fleet shares. ksmd is paced for a standing fleet, not a
+   microbenchmark: modest batches, long sleeps, incremental rescans so
+   steady-state wakeups cost O(dirtied pages). *)
 let tenant_memory_mb = 4
 let chatter_per_hour = 12.
 let ksm_config = { Memory.Ksm.pages_to_scan = 256; sleep = Sim.Time.ms 500.; incremental = true }
 let soc_audit_every = Sim.Time.minutes 25.
+
+let detector_policy =
+  {
+    Cloudskulk.Detector_service.sweep_every = Sim.Time.minutes 10.;
+    dedup_every_n_sweeps = 2;
+    probe_pages = 8;
+    probe_budget = 1;
+    event_log_capacity = 64;
+  }
 
 let tenant_label id = Printf.sprintf "cust-%d" id
 let host_addr id = Printf.sprintf "fleet-%d" id
@@ -213,7 +220,7 @@ let create ctx (spec : Spec.t) ~id =
       ~pages:64
   in
   let service =
-    Cloudskulk.Detector_service.create ~policy:(Spec.detector_policy spec) cctx
+    Cloudskulk.Detector_service.create ~policy:detector_policy cctx
       sc.Cloudskulk.Scenarios.host
   in
   let t =

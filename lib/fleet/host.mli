@@ -17,6 +17,11 @@
 
 type t
 
+val detector_policy : Cloudskulk.Detector_service.policy
+(** The policy every host's detector runs: an audit sweep every 10
+    minutes, each tenant probed with 8 pages every second sweep, one
+    probe per scan window, a 64-event log. *)
+
 val create : Sim.Ctx.t -> Spec.t -> id:int -> t
 (** Build the host's world in full: scenario (clean or infected by the
     member ctx's first coin), initial tenants, detector monitor, churn

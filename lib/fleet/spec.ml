@@ -14,10 +14,6 @@ type t = {
   migrate_per_hour : float;
   duration : Sim.Time.t;
   fabric_latency : Sim.Time.t;  (* cross-host delivery quantum = the epoch *)
-  sweep_every : Sim.Time.t;  (* per-host detector policy *)
-  dedup_every_n_sweeps : int;
-  probe_pages : int;
-  probe_budget : int;
 }
 
 let default =
@@ -32,10 +28,6 @@ let default =
     migrate_per_hour = 2.;
     duration = Sim.Time.minutes 60.;
     fabric_latency = Sim.Time.s 15.;
-    sweep_every = Sim.Time.minutes 10.;
-    dedup_every_n_sweeps = 2;
-    probe_pages = 8;
-    probe_budget = 1;
   }
 
 let vms t = t.hosts * (t.tenants_per_host + 1)
@@ -97,29 +89,6 @@ let validate t =
     check (epochs <= max_epochs)
       "degenerate fleet: duration / fabric_latency exceeds 100k epochs"
   in
-  let* () =
-    check
-      Sim.Time.(t.sweep_every >= Sim.Time.minutes 1. && t.sweep_every <= Sim.Time.minutes 120.)
-      "sweep_every must be in 1..120 min"
-  in
-  let* () =
-    check
-      (t.dedup_every_n_sweeps >= 1 && t.dedup_every_n_sweeps <= 16)
-      "dedup_every_n_sweeps must be in 1..16"
-  in
-  let* () = check (t.probe_pages >= 2 && t.probe_pages <= 64) "probe_pages must be in 2..64" in
-  let* () =
-    check (t.probe_budget >= 1 && t.probe_budget <= 1024) "probe_budget must be in 1..1024"
-  in
   Ok t
-
-let detector_policy t =
-  {
-    Cloudskulk.Detector_service.sweep_every = t.sweep_every;
-    dedup_every_n_sweeps = t.dedup_every_n_sweeps;
-    probe_pages = t.probe_pages;
-    probe_budget = t.probe_budget;
-    event_log_capacity = 64;
-  }
 
 let rack_of t host = host * t.racks / t.hosts

@@ -2,13 +2,14 @@
 
     Everything a fleet's callers vary lives here: the population (hosts,
     racks, tenants), the infection seeding, the churn rates, the time
-    horizon, the cross-host fabric latency (which doubles as the
-    sharding epoch - see {!Sim.Parallel.run_sharded}) and the detector
-    policy knobs. What every fleet shares (tenant memory, chatter rate,
-    ksmd pacing, the SOC's audit rotation) is fixed in {!Host}. The harness, the fuzzer, and the
-    benchmarks all describe fleets with this one record, and {!validate}
-    is the single bounds check they share - the fuzz grammar's "reject
-    degenerate fleets" rule is literally this function. *)
+    horizon and the cross-host fabric latency (which doubles as the
+    sharding epoch - see {!Sim.Parallel.run_sharded}). What every fleet
+    shares (tenant memory, chatter rate, ksmd pacing, the detector
+    policy, the SOC's audit rotation) is fixed in {!Host}. The harness,
+    the fuzzer, and the benchmarks all describe fleets with this one
+    record, and {!validate} is the single bounds check they share - the
+    fuzz grammar's "reject degenerate fleets" rule is literally this
+    function. *)
 
 type t = {
   hosts : int;
@@ -22,11 +23,10 @@ type t = {
   migrate_per_hour : float;
   duration : Sim.Time.t;
   fabric_latency : Sim.Time.t;
-      (** cross-host delivery quantum; the sharding epoch *)
-  sweep_every : Sim.Time.t;  (** per-host detector audit cadence *)
-  dedup_every_n_sweeps : int;
-  probe_pages : int;
-  probe_budget : int;
+      (** cross-host delivery quantum; the sharding epoch. Test hook:
+          every fleet runs at the default 15 s; only test_fleet's "spec
+          validation rejects degenerate fleets" sets it, to a 1 ms epoch
+          that {!validate} must reject. *)
 }
 
 val default : t
@@ -48,8 +48,6 @@ val validate : t -> (t, string) result
 (** Bounds-check every knob (host/tenant counts, rates, horizons, the
     epoch-count product) and reject degenerate fleets with a one-line
     reason. *)
-
-val detector_policy : t -> Cloudskulk.Detector_service.policy
 
 val rack_of : t -> int -> int
 (** Which rack a host index belongs to (contiguous blocks). *)

@@ -104,7 +104,7 @@ let render r =
   line "infected %d host(s), install failures %d; probe budget %d/window"
     (infected_hosts r)
     (sum (fun h -> if h.Host.r_install_failed then 1 else 0) r)
-    s.Spec.probe_budget;
+    Host.detector_policy.Cloudskulk.Detector_service.probe_budget;
   line "churn: boots %d (%d failed), kills %d; migrations %d -> landed %d, forwarded %d, dropped %d, parked %d"
     (boots r)
     (sum (fun h -> h.Host.r_boot_failures) r)

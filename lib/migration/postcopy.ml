@@ -1,7 +1,4 @@
 type config = {
-  link : Net.Link.t;
-  page_header_bytes : int;
-  nested_dest_derate : float;
   working_set_pages : int;
   max_retransmits : int;
   auto_recover : bool;
@@ -9,16 +6,14 @@ type config = {
 
 let default_config =
   {
-    link = Net.Link.migration_loopback;
-    page_header_bytes = 8;
-    nested_dest_derate = 0.82;
     working_set_pages = 2048;
     max_retransmits = 5;
     auto_recover = true;
   }
 
-(* 2 % of the background pages arrive by demand fault; the faulted pull
-   moves 256 pages per chunk. *)
+(* The share of background pages that arrive by demand fault (a network
+   round-trip each) rather than the streaming pull; an outage severs the
+   faulted pull at a chunk boundary. *)
 let demand_fault_rate = 0.02
 let pull_chunk_pages = 256
 
@@ -33,9 +28,8 @@ type result = {
 
 let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
   match
-    Session.start ?fault ctx ~driver:"postcopy" ~link:config.link
-      ~nested_dest_derate:config.nested_dest_derate ~max_retransmits:config.max_retransmits
-      ~source ~dest
+    Session.start ?fault ctx ~driver:"postcopy" ~max_retransmits:config.max_retransmits ~source
+      ~dest
   with
   | Error e -> Error e
   | Ok s ->
@@ -55,7 +49,7 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
        not taken over yet, so the source resumes and keeps the guest. *)
     Session.pause_source s;
     let ws = min config.working_set_pages pages in
-    let ws_bytes = (ws * (Memory.Page.size_bytes + config.page_header_bytes)) + (512 * 1024) in
+    let ws_bytes = (ws * (Memory.Page.size_bytes + Session.page_header_bytes)) + (512 * 1024) in
     let downtime_started = Sim.Engine.now engine in
     Ok
       (try
@@ -72,7 +66,7 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
          let demand_faults =
            int_of_float (Float.round (demand_fault_rate *. float_of_int remaining))
          in
-         let per_page_bytes = Memory.Page.size_bytes + config.page_header_bytes in
+         let per_page_bytes = Memory.Page.size_bytes + Session.page_header_bytes in
          let fault_penalty =
            Sim.Time.mul link.Net.Link.latency (2. *. float_of_int demand_faults)
          in

@@ -9,9 +9,6 @@
     [abl-postcopy] bench compares install times under both. *)
 
 type config = {
-  link : Net.Link.t;
-  page_header_bytes : int;
-  nested_dest_derate : float;
   working_set_pages : int;  (** pages pushed before the destination resumes *)
   max_retransmits : int;
       (** phase-1 (working-set push) retransmission allowance before the
@@ -26,8 +23,9 @@ type config = {
 }
 
 val default_config : config
-(** {!Net.Link.migration_loopback}, 8-byte headers, 0.82 per-level
-    derate, a 2048-page working set, 5 retransmissions, auto-recover on.
+(** A 2048-page working set, 5 retransmissions, auto-recover on, over
+    pre-copy's channel ({!Net.Link.migration_loopback}, 8-byte page
+    headers, 82 % bandwidth per destination nesting level beyond L1).
     Test hook: every run outside the tests takes it as it is; only the
     tests set [working_set_pages] and [auto_recover] (test_migration's
     "postcopy pause and monitor recovery" and test_chaos's migration

@@ -1,9 +1,6 @@
 type config = {
-  link : Net.Link.t;
   max_downtime : Sim.Time.t;
   max_rounds : int;
-  page_header_bytes : int;
-  nested_dest_derate : float;
   zero_page_optimization : bool;
   auto_converge : bool;
   xbzrle : bool;
@@ -12,19 +9,16 @@ type config = {
 
 let default_config =
   {
-    link = Net.Link.migration_loopback;
     max_downtime = Sim.Time.ms 300.;
     max_rounds = 50;
-    page_header_bytes = 8;
-    nested_dest_derate = 0.82;
     zero_page_optimization = false;
     auto_converge = false;
     xbzrle = false;
     max_retransmits = 5;
   }
 
-(* An XBZRLE delta is 30 % of a full page; retransmissions back off
-   exponentially from 100 ms. *)
+(* An XBZRLE delta's size as a fraction of a full page, and the base of
+   the exponential backoff between retransmissions. *)
 let xbzrle_ratio = 0.3
 let retransmit_backoff = Sim.Time.ms 100.
 
@@ -76,7 +70,7 @@ let dirty_pages bitmap =
    plus its header, so the round's size is a product, not a walk. *)
 let wire_bytes config ~source ~sent_before pages =
   if not (config.zero_page_optimization || config.xbzrle) then
-    pages.page_count * (config.page_header_bytes + Memory.Page.size_bytes)
+    pages.page_count * (Session.page_header_bytes + Memory.Page.size_bytes)
   else
     let ram = Vmm.Vm.ram source in
     pages.fold
@@ -91,7 +85,7 @@ let wire_bytes config ~source ~sent_before pages =
             int_of_float (Float.round (xbzrle_ratio *. float_of_int Memory.Page.size_bytes))
           else Memory.Page.size_bytes
         in
-        acc + config.page_header_bytes + payload)
+        acc + Session.page_header_bytes + payload)
       0
 
 (* Copy a round's pages and record each as held by the destination. *)
@@ -105,9 +99,8 @@ let copy_pages ~source ~dest ~sent_before pages =
 
 let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
   match
-    Session.start ?fault ctx ~driver:"precopy" ~link:config.link
-      ~nested_dest_derate:config.nested_dest_derate ~max_retransmits:config.max_retransmits
-      ~source ~dest
+    Session.start ?fault ctx ~driver:"precopy" ~max_retransmits:config.max_retransmits ~source
+      ~dest
   with
   | Error e -> Error e
   | Ok s ->
@@ -129,7 +122,7 @@ let migrate ?(config = default_config) ?fault ctx ~source ~dest () =
     (* Pages that can move within the downtime budget. *)
     let downtime_page_budget =
       let per_page =
-        Net.Link.transfer_time link (Memory.Page.size_bytes + config.page_header_bytes)
+        Net.Link.transfer_time link (Memory.Page.size_bytes + Session.page_header_bytes)
       in
       let per_page_s = Sim.Time.to_s per_page -. Sim.Time.to_s link.Net.Link.latency in
       if per_page_s <= 0. then max_int

@@ -13,13 +13,8 @@
     workload-dependent end-to-end times of Fig 4. *)
 
 type config = {
-  link : Net.Link.t;  (** the migration channel *)
   max_downtime : Sim.Time.t;  (** stop-and-copy budget (QEMU default 300 ms) *)
   max_rounds : int;  (** cap on iterative rounds before forcing convergence *)
-  page_header_bytes : int;  (** per-page framing overhead on the wire *)
-  nested_dest_derate : float;
-      (** multiplicative bandwidth factor per destination nesting level
-          beyond L1: receiving into a nested VM's RAM costs extra exits *)
   zero_page_optimization : bool;
       (** send only headers for all-zero pages (QEMU does; off by
           default here because the effective-bandwidth calibration
@@ -42,8 +37,9 @@ type config = {
 }
 
 val default_config : config
-(** {!Net.Link.migration_loopback}, 300 ms downtime, 50 rounds, 8-byte
-    headers, 0.82 per-level derate, zero-page optimization off. The
+(** 300 ms downtime, 50 rounds, zero-page optimization off. The
+    channel is {!Net.Link.migration_loopback} with 8-byte page headers,
+    derated to 82 % per destination nesting level beyond L1. The
     experiments vary only [auto_converge] and [xbzrle]. Test hook: only
     test_migration sets [max_downtime] (2 ms, so a busy guest needs
     extra rounds), [max_rounds] (the auto-converge tests),

@@ -53,7 +53,13 @@ let validate ~source ~dest =
       if sp <> dp then Error (Printf.sprintf "RAM size mismatch: %d vs %d pages" sp dp)
       else Ok ()
 
-let start ?fault ctx ~driver ~link ~nested_dest_derate ~max_retransmits ~source ~dest =
+(* Receiving into a nested VM's RAM costs extra exits: each destination
+   nesting level beyond L1 keeps [nested_dest_derate] of the channel's
+   bandwidth. *)
+let page_header_bytes = 8
+let nested_dest_derate = 0.82
+
+let start ?fault ctx ~driver ~max_retransmits ~source ~dest =
   match validate ~source ~dest with
   | Error e -> Error e
   | Ok () ->
@@ -73,7 +79,7 @@ let start ?fault ctx ~driver ~link ~nested_dest_derate ~max_retransmits ~source 
         max_retransmits;
         source;
         dest;
-        link = Net.Link.scale_bandwidth link (pow nested_dest_derate extra);
+        link = Net.Link.scale_bandwidth Net.Link.migration_loopback (pow nested_dest_derate extra);
         telemetry;
         started = Sim.Engine.now engine;
         m_rounds = mig "rounds_total";

@@ -15,12 +15,13 @@ exception Abort of Outcome.reason
 (** Raised by {!transmit} and by a driver's own phase logic; the driver
     catches it and returns {!abort}. *)
 
+val page_header_bytes : int
+(** Per-page framing on the wire: 8 bytes. *)
+
 val start :
   ?fault:Sim.Fault.t ->
   Sim.Ctx.t ->
   driver:string ->
-  link:Net.Link.t ->
-  nested_dest_derate:float ->
   max_retransmits:int ->
   source:Vmm.Vm.t ->
   dest:Vmm.Vm.t ->
@@ -31,8 +32,9 @@ val start :
     effects. [driver] labels every metric and span. *)
 
 val link : t -> Net.Link.t
-(** The channel, its bandwidth derated by [nested_dest_derate] once per
-    destination nesting level beyond L1. *)
+(** The channel, {!Net.Link.migration_loopback}, its bandwidth derated
+    to 82 % once per destination nesting level beyond L1 (receiving into
+    a nested VM's RAM costs extra exits). *)
 
 val counter : t -> string -> Sim.Telemetry.counter
 (** A driver-specific [migration_<name>] counter with the driver label. *)

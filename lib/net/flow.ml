@@ -10,8 +10,6 @@ let throughput_mbit_s ~bytes ~elapsed =
   let secs = Sim.Time.to_s elapsed in
   if secs <= 0. then 0. else float_of_int bytes *. 8. /. 1e6 /. secs
 
-(* The stream moves in 64 KiB chunks; without faults, one engine event
-   carries a burst of 16 of them. *)
 let chunk_bytes = 65536
 let burst_chunks = 16
 

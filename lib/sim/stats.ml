@@ -36,19 +36,18 @@ module Sketch = struct
   let max_centroids = (2 * compression) + 2
 
   let create () =
-    let mc = max_centroids in
     {
       buf = Array.make (4 * compression) 0.;
       buf_len = 0;
-      means = Array.make mc 0.;
-      weights = Array.make mc 0.;
+      means = Array.make max_centroids 0.;
+      weights = Array.make max_centroids 0.;
       n = 0;
       total = 0;
       sum_v = 0.;
       min_v = Float.infinity;
       max_v = Float.neg_infinity;
-      scratch_m = Array.make mc 0.;
-      scratch_w = Array.make mc 0.;
+      scratch_m = Array.make max_centroids 0.;
+      scratch_w = Array.make max_centroids 0.;
     }
 
   let count t = t.total

@@ -1,5 +1,3 @@
-(* A 96 MB page-cache working set, 8000 filebench ops and 2000 unique
-   dirty pages per second. *)
 let working_set_mb = 96
 let ops_per_second = 8000.
 let dirty_pages_per_second = 2000.

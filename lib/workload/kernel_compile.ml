@@ -1,7 +1,6 @@
-(* 2600 translation units of 330 ms bare-metal CPU each; a ccache hit
-   leaves 26 % of it. Each unit makes 50 I/O exits and 58 000 fresh page
-   faults that L0 must emulate at L2, and writes 8 pages of object file
-   and page cache. *)
+(* Per compile unit: bare-metal CPU, the share of it a ccache hit
+   leaves, I/O exits, fresh page faults that L0 must emulate at L2, and
+   object-file/page-cache pages written. *)
 let compile_units = 2600
 let unit_cpu = Sim.Time.ms 330.
 let ccache_hit_factor = 0.26

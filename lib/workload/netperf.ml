@@ -1,5 +1,4 @@
-(* A 1 GbE path; each virtio traversal keeps 98.5 % of the goodput; one
-   run moves 128 MiB. *)
+(* [derate_per_level] is the goodput kept per virtio traversal. *)
 let link = Net.Link.lan_1gbe
 let derate_per_level = 0.985
 let transfer_bytes = 128 * 1024 * 1024

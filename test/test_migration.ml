@@ -163,12 +163,11 @@ let precopy_tests =
     Alcotest.test_case "estimated_idle_time matches an idle run's scale" `Quick (fun () ->
         let mp = mk_pair () in
         let pages = Memory.Address_space.pages (Vmm.Vm.ram mp.mp_source) in
-        (* one round carrying every page with its header *)
-        let config = Migration.Precopy.default_config in
+        (* one round carrying every page with its 8-byte header *)
         let est =
           Sim.Time.to_s
-            (Net.Link.transfer_time config.Migration.Precopy.link
-               (pages * (Memory.Page.size_bytes + config.Migration.Precopy.page_header_bytes)))
+            (Net.Link.transfer_time Net.Link.migration_loopback
+               (pages * (Memory.Page.size_bytes + 8)))
         in
         let r = migrate_exn mp.Vmm.Layers.mp_ctx ~source:mp.mp_source ~dest:mp.mp_dest in
         let actual = Sim.Time.to_s r.Migration.Precopy.total_time in

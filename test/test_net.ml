@@ -316,6 +316,20 @@ let burst_tests =
               (Sim.Time.to_ns (per_chunk link.Net.Link.latency bytes))
               (Sim.Time.to_ns r.Net.Flow.elapsed))
           [ 0.; 0.3 ]);
+    Alcotest.test_case "faulted flows pace one event per chunk" `Quick (fun () ->
+        (* fault decisions are per-chunk and time-dependent, so a faulted
+           stream keeps chunk-at-a-time pacing even when nothing fires; a
+           fault-free stream batches 16 chunks per event *)
+        let bytes = 8 * 1024 * 1024 in
+        let link = Net.Link.make ~latency:Sim.Time.zero ~bandwidth_mbytes_per_s:100. in
+        let events ?fault () =
+          let e = engine () in
+          ignore (Net.Flow.run e ~link ?fault ~bytes ());
+          Sim.Engine.events_processed (Sim.Ctx.engine e)
+        in
+        let quiet = Sim.Fault.create Sim.Fault.none (Sim.Rng.create 7) in
+        Alcotest.(check int) "faulted: latency + 128 chunks" 129 (events ~fault:quiet ());
+        Alcotest.(check int) "fault-free: latency + 8 bursts" 9 (events ()));
   ]
 
 let net_props =
