@@ -1,7 +1,8 @@
 (* The measurements behind queue_bench's CI gates: incremental vs full
-   KSM rescan cost, the cost of an idle incremental KSM wakeup, the
-   allocation of a KSM scan per page and the allocation of the guest
-   write and page copy paths per page. *)
+   KSM rescan cost, the cost of an idle incremental KSM wakeup, the cost
+   of a full-sweep wakeup over merged pages against one over distinct
+   pages, the allocation of a KSM scan per page and per merge, and the
+   allocation of the guest write and page copy paths per page. *)
 
 (* The lowest of [repeats] calls of [once], so one scheduler hiccup on a
    shared machine does not end up in the recorded figure. *)
@@ -13,9 +14,11 @@ let best_of repeats once =
   done;
   !best
 
-(* A multi-tenant KSM population: 64 spaces x 256 distinct pages,
-   scanned to steady state. *)
-let ksm_world ~incremental =
+(* A multi-tenant KSM population: 64 spaces x 256 pages, scanned to
+   steady state. The pages are all distinct, or with [~merged:true] page
+   [i] of every space holds the same content, so steady state is 256
+   stable frames each shared by all 64 spaces. *)
+let ksm_world ?(merged = false) ~incremental () =
   let ctx = Sim.Ctx.create () in
   let ft = Memory.Frame_table.create ctx in
   let config =
@@ -28,7 +31,8 @@ let ksm_world ~incremental =
           Memory.Address_space.create_root ft ~name:(Printf.sprintf "s%d" k) ~pages:256
         in
         for i = 0 to 255 do
-          ignore (Memory.Address_space.write s i (Memory.Page.Content.of_int ((k * 256) + i)))
+          let c = if merged then i else (k * 256) + i in
+          ignore (Memory.Address_space.write s i (Memory.Page.Content.of_int c))
         done;
         Memory.Ksm.register ksm s;
         s)
@@ -43,7 +47,7 @@ let ksm_world ~incremental =
    count of the work, not of host time: it reads the same on every run
    and every build, so its gate can be tight. *)
 let ksm_scan_minor_words_per_page ~iters =
-  let ksm, spaces = ksm_world ~incremental:false in
+  let ksm, spaces = ksm_world ~incremental:false () in
   let pages = Array.fold_left (fun n s -> n + Memory.Address_space.pages s) 0 spaces in
   let w0 = Gc.minor_words () in
   for _ = 1 to iters do
@@ -76,6 +80,44 @@ let page_path_minor_words_per_page ~iters =
   done;
   (Gc.minor_words () -. w0) /. float_of_int (iters * pages)
 
+(* Minor-heap words per merge, over [iters] rounds of the merged
+   [ksm_world]: each round rewrites every page of spaces 1..63 with the
+   content it already holds - a CoW break onto a fresh private frame -
+   and one full-sweep wakeup merges each back into space 0's stable
+   frame, freeing the private frame. A count of the work, like
+   [ksm_scan_minor_words_per_page]; the contents are built before the
+   count starts, since [Page.Content.of_int] returns a boxed int64. *)
+let ksm_merge_minor_words_per_merge ~iters =
+  let ksm, spaces = ksm_world ~merged:true ~incremental:false () in
+  let contents = Array.init 256 Memory.Page.Content.of_int in
+  let merges0 = Memory.Ksm.pages_merged ksm in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    for k = 1 to 63 do
+      for i = 0 to 255 do
+        ignore (Memory.Address_space.write spaces.(k) i contents.(i))
+      done
+    done;
+    Memory.Ksm.scan_once ksm
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (Memory.Ksm.pages_merged ksm - merges0)
+
+(* Host ns of one full-sweep wakeup (the whole table, 16384 pages) at
+   steady state, best of three timed loops of [iters]: over the merged
+   [ksm_world] every page is settled and the sweep steps over them a
+   bitmap word at a time; over the distinct one every page is visited.
+   The CI smoke gates the ratio between the two. *)
+let ksm_full_wakeup_ns ~merged ~iters =
+  let ksm, _ = ksm_world ~merged ~incremental:false () in
+  best_of 3 (fun () ->
+      (* skulkscope: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
+      let t0 = Sys.time () in
+      for _ = 1 to iters do
+        Memory.Ksm.scan_once ksm
+      done;
+      (* skulkscope: allow wall-clock — closes the host-clock interval opened above *)
+      (Sys.time () -. t0) *. 1e9 /. float_of_int iters)
+
 (* Steady-state rescan: dirty ~1% of the table between wakeups, then
    take one scan_once. Returns ns per dirtied page; the full sweep
    walks all 16384 pages per wakeup (cached checksums, but every page
@@ -83,7 +125,7 @@ let page_path_minor_words_per_page ~iters =
    is the O(table) -> O(dirtied) win. The loop also pays for the writes
    themselves - identical in both modes. *)
 let ksm_rescan_ns_per_dirtied_page ~incremental ~iters =
-  let ksm, spaces = ksm_world ~incremental in
+  let ksm, spaces = ksm_world ~incremental () in
   let rng = Sim.Rng.create 23 in
   let dirtied_per_iter = 164 in
   let stamp = ref 1_000_000 in

@@ -257,7 +257,7 @@ let abl_postcopy ctx =
     in
     (match Vmm.Hypervisor.launch host target_cfg with Ok _ -> () | Error e -> failwith e);
     let config =
-      { (Cloudskulk.Install.default_config ~target_name:"guest0") with
+      { Cloudskulk.Install.default_config with
         Cloudskulk.Install.strategy }
     in
     match Cloudskulk.Install.run ~config cctx ~host ~registry ~target_name:"guest0" with

@@ -95,7 +95,7 @@ let run { Harness.Experiment.trials; jobs; shards = _; ctx } =
   let infected_soft =
     Cloudskulk.Scenarios.infected
       ~install_config:
-        { (Cloudskulk.Install.default_config ~target_name:"guest0") with
+        { Cloudskulk.Install.default_config with
           Cloudskulk.Install.use_vtx = false }
       base
   in

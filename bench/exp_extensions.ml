@@ -86,7 +86,7 @@ let audit ctx =
   ignore (Result.get_ok (Vmm.Hypervisor.launch host_soft (target_config ())));
   busy_spawn host_soft;
   let config =
-    { (Cloudskulk.Install.default_config ~target_name:"guest0") with
+    { Cloudskulk.Install.default_config with
       Cloudskulk.Install.use_vtx = false }
   in
   ignore

@@ -37,7 +37,7 @@ let run_monitor_trial cctx =
   let sc =
     Cloudskulk.Scenarios.infected ~customer_memory_mb:256
       ~install_config:
-        { (Cloudskulk.Install.default_config ~target_name:"guest0") with
+        { Cloudskulk.Install.default_config with
           Cloudskulk.Install.use_vtx = false }
       cctx
   in

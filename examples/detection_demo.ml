@@ -40,7 +40,7 @@ let () =
   let soft =
     Cloudskulk.Scenarios.infected
       ~install_config:
-        { (Cloudskulk.Install.default_config ~target_name:"guest0") with
+        { Cloudskulk.Install.default_config with
           Cloudskulk.Install.use_vtx = false }
       (Sim.Ctx.create ~seed:22 ())
   in

@@ -102,7 +102,7 @@ let () =
   (* tenant-b gets hit *)
   Printf.printf "\n*** attacker compromises the host and targets tenant-b ***\n";
   let config =
-    { (Cloudskulk.Install.default_config ~target_name:"tenant-b") with
+    { Cloudskulk.Install.default_config with
       Cloudskulk.Install.host_port = 5700;
       ritm_port = 5701 }
   in

@@ -1,27 +1,19 @@
 type config = {
-  target_name : string;
-  guestx_name : string;
-  guestx_memory_mb : int option;
   host_port : int;
   ritm_port : int;
   strategy : Migration.Wiring.strategy;
   use_vtx : bool;
   impersonate : bool;
-  spoof_pid : bool;
   faults : Sim.Fault.profile;
 }
 
-let default_config ~target_name =
+let default_config =
   {
-    target_name;
-    guestx_name = "guestx";
-    guestx_memory_mb = None;
     host_port = 5600;
     ritm_port = 5601;
     strategy = Migration.Wiring.Pre_copy Migration.Precopy.default_config;
     use_vtx = true;
     impersonate = true;
-    spoof_pid = true;
     faults = Sim.Fault.none;
   }
 
@@ -60,22 +52,18 @@ type report = {
 (* Small monadic glue so each step reads top-to-bottom. *)
 let ( let* ) r f = Result.bind r f
 
+let guestx_name = "guestx"
+
 let guestx_config cfg (target : Vmm.Qemu_config.t) =
-  let memory_mb =
-    match cfg.guestx_memory_mb with
-    | Some m -> m
-    | None ->
-      (* room for the nested guest's RAM plus the L1 OS itself *)
-      target.Vmm.Qemu_config.memory_mb * 2
-  in
-  let base = Vmm.Qemu_config.default ~name:cfg.guestx_name in
+  let base = Vmm.Qemu_config.default ~name:guestx_name in
   {
     base with
-    Vmm.Qemu_config.memory_mb;
+    (* room for the nested guest's RAM plus the L1 OS itself *)
+    Vmm.Qemu_config.memory_mb = target.Vmm.Qemu_config.memory_mb * 2;
     monitor_port = target.Vmm.Qemu_config.monitor_port + 1;
     vnc_display = target.Vmm.Qemu_config.vnc_display + 1;
     nested_vmx = true;
-    disk = { base.Vmm.Qemu_config.disk with Vmm.Qemu_config.image = cfg.guestx_name ^ ".qcow2" };
+    disk = { base.Vmm.Qemu_config.disk with Vmm.Qemu_config.image = guestx_name ^ ".qcow2" };
     netdev =
       {
         base.Vmm.Qemu_config.netdev with
@@ -83,16 +71,14 @@ let guestx_config cfg (target : Vmm.Qemu_config.t) =
       };
   }
 
-let run ?config ctx ~host ~registry ~target_name =
+let run ?(config = default_config) ctx ~host ~registry ~target_name =
   let engine = Sim.Ctx.engine ctx in
-  let cfg = match config with Some c -> c | None -> default_config ~target_name in
-  let cfg = { cfg with target_name } in
   (* a non-trivial context profile overrides whatever the config
      carries; the none profile keeps the caller's (or the zero-fault
      default) untouched *)
   let cfg =
-    if Sim.Fault.is_none (Sim.Ctx.faults ctx) then cfg
-    else { cfg with faults = Sim.Ctx.faults ctx }
+    if Sim.Fault.is_none (Sim.Ctx.faults ctx) then config
+    else { config with faults = Sim.Ctx.faults ctx }
   in
   let t0 = Sim.Engine.now engine in
   let telemetry = Vmm.Hypervisor.telemetry host in
@@ -108,10 +94,10 @@ let run ?config ctx ~host ~registry ~target_name =
   in
   (* Step 1: reconnaissance. *)
   let s = Sim.Engine.now engine in
-  let* finding = Recon.find_target host ~name:cfg.target_name in
+  let* finding = Recon.find_target host ~name:target_name in
   let* () = Recon.verify_config finding in
   record Recon s
-    (Printf.sprintf "target %s: pid %d, %s" cfg.target_name finding.Recon.qemu_pid
+    (Printf.sprintf "target %s: pid %d, %s" target_name finding.Recon.qemu_pid
        (Format.asprintf "%a" Vmm.Qemu_config.pp finding.Recon.config));
   let target = finding.Recon.vm in
   let old_pid = finding.Recon.qemu_pid in
@@ -119,7 +105,7 @@ let run ?config ctx ~host ~registry ~target_name =
   let s = Sim.Engine.now engine in
   let* guestx = Vmm.Hypervisor.launch host (guestx_config cfg finding.Recon.config) in
   record Launch_ritm s
-    (Printf.sprintf "%s up: %d MB, nested VMX on, hostfwd %d->%d" cfg.guestx_name
+    (Printf.sprintf "%s up: %d MB, nested VMX on, hostfwd %d->%d" guestx_name
        (Vmm.Vm.config guestx).Vmm.Qemu_config.memory_mb cfg.host_port cfg.ritm_port);
   let teardown_guestx e =
     Vmm.Hypervisor.kill_vm host guestx;
@@ -209,10 +195,7 @@ let run ?config ctx ~host ~registry ~target_name =
               ~to_:(Net.Packet.endpoint guestx_addr host_port)
               ~via:(Vmm.Hypervisor.switch host))
           victim_fwds;
-        let spoof_result =
-          if cfg.spoof_pid then Stealth.spoof_pid ~host ~guestx ~old_pid else Ok ()
-        in
-        match spoof_result with
+        match Stealth.spoof_pid ~host ~guestx ~old_pid with
         | Error e -> teardown_guestx ("pid spoof: " ^ e)
         | Ok () ->
           if cfg.impersonate then begin

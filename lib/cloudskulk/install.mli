@@ -19,15 +19,11 @@
     old QEMU PID, and impersonate the victim's OS at L1. *)
 
 type config = {
-  target_name : string;
-  guestx_name : string;
-  guestx_memory_mb : int option;  (** default: enough to nest the target *)
   host_port : int;  (** AAAA (default 5600) *)
   ritm_port : int;  (** BBBB (default 5601) *)
   strategy : Migration.Wiring.strategy;
   use_vtx : bool;  (** hardware-assisted nesting (leaves VMCS traces) *)
   impersonate : bool;  (** run the {!Stealth} OS/file impersonation *)
-  spoof_pid : bool;
   faults : Sim.Fault.profile;
       (** fault-injection profile for the live-migration channel
           (default {!Sim.Fault.none}: the exact historical code path).
@@ -36,7 +32,7 @@ type config = {
           at the live-migration step and tears the RITM down. *)
 }
 
-val default_config : target_name:string -> config
+val default_config : config
 
 type step =
   | Recon

@@ -200,7 +200,7 @@ let create ctx (spec : Spec.t) ~id =
         Cloudskulk.Scenarios.infected_result ~ksm_config ~customer_memory_mb
           ~install_config:
             {
-              (Cloudskulk.Install.default_config ~target_name:"guest0") with
+              Cloudskulk.Install.default_config with
               Cloudskulk.Install.use_vtx = false;
             }
           ctx

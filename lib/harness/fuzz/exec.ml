@@ -54,7 +54,7 @@ let build_scenario (p : Program.t) ctx =
   | Program.Infected { syncs; use_vtx; strategy } ->
     let install_config =
       {
-        (Cloudskulk.Install.default_config ~target_name:"guest0") with
+        Cloudskulk.Install.default_config with
         Cloudskulk.Install.use_vtx;
         strategy = wiring_of strategy;
       }

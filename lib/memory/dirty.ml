@@ -82,6 +82,32 @@ let next_dirty_from t from =
     if t.count = 0 then None else from_word (from lsr 5) (from land 31)
   end
 
+(* Trailing one bits of [m], which has a zero bit below 32. A run ends
+   at most once per call, so a bit loop costs little here. *)
+let rec trailing_ones m = if m land 1 = 0 then 0 else 1 + trailing_ones (m lsr 1)
+
+(* The words loop of [run_set_clean], at top level so that a call
+   allocates no closure: [start] is the index of bit [first_bit] of word
+   [w], and the run began at [from]. *)
+let rec run_from_word words unless_words ~from ~stop w first_bit =
+  let start = (w lsl 5) + first_bit in
+  if start >= stop then stop - from
+  else begin
+    let m = (words.(w) land lnot unless_words.(w)) lsr first_bit in
+    if m = (1 lsl (bits_per_word - first_bit)) - 1 then
+      run_from_word words unless_words ~from ~stop (w + 1) 0
+    else min stop (start + trailing_ones m) - from
+  end
+
+let run_set_clean t ~unless from ~limit =
+  if unless.length <> t.length then invalid_arg "Dirty.run_set_clean: length mismatch";
+  let stop = if limit >= t.length - from then t.length else from + limit in
+  if from >= stop then 0
+  else begin
+    check t from;
+    run_from_word t.words unless.words ~from ~stop (from lsr 5) (from land 31)
+  end
+
 let dirty_count t = t.count
 
 let clear t =

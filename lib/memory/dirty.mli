@@ -34,6 +34,15 @@ val next_dirty_from : t -> int -> int option
     dirty answers [None] in O(1). [None] if no bit at or after [i] is
     set; the bitmap is not modified. *)
 
+val run_set_clean : t -> unless:t -> int -> limit:int -> int
+(** [run_set_clean t ~unless i ~limit] is the length of the run of
+    indices from [i] whose bit is set in [t] and clear in [unless], at
+    most [limit] and never past the end: [0] when [i] itself breaks the
+    run. It tests a word (32 pages) per compare and modifies neither
+    bitmap - KSM's full sweep steps over its settled-and-unwritten pages
+    with it. Raises [Invalid_argument] on a length mismatch or an [i]
+    outside [[0, length)] (when [limit > 0]). *)
+
 val dirty_count : t -> int
 val clear : t -> unit
 

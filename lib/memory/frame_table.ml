@@ -7,13 +7,16 @@ type frame = int
    (native endian), its reference count in [refs.(f)], and its stable
    flag in byte [f] of [stable]. Nothing here is a per-frame heap block,
    so a content write stores no fresh box and the major GC has no
-   per-frame blocks to mark or sweep. *)
+   per-frame blocks to mark or sweep. Freed frames wait in
+   [free.(0 .. n_free - 1)], a stack reused last-in first-out, so
+   freeing one stores an int instead of consing a cell. *)
 type t = {
   mutable contents : Bytes.t;
   mutable refs : int array;
   mutable stable : Bytes.t;
   mutable used : int;
-  mutable free_list : frame list;
+  mutable free : frame array;
+  mutable n_free : int;
   mutable live : int;
   capacity : int option;
   telemetry : Sim.Telemetry.t option;
@@ -27,7 +30,8 @@ let create ?capacity_frames ctx =
     refs = [||];
     stable = Bytes.empty;
     used = 0;
-    free_list = [];
+    free = [||];
+    n_free = 0;
     live = 0;
     capacity = capacity_frames;
     telemetry;
@@ -60,15 +64,16 @@ let alloc t c =
   | Some cap when t.live >= cap -> raise Out_of_memory_frames
   | Some _ | None -> ());
   let f =
-    match t.free_list with
-    | f :: rest ->
-      t.free_list <- rest;
-      f
-    | [] ->
+    if t.n_free > 0 then begin
+      t.n_free <- t.n_free - 1;
+      t.free.(t.n_free)
+    end
+    else begin
       if t.used = Array.length t.refs then grow t;
       let f = t.used in
       t.used <- t.used + 1;
       f
+    end
   in
   set_content t f c;
   t.refs.(f) <- 1;
@@ -96,7 +101,13 @@ let decref t f =
   t.refs.(f) <- r;
   if r = 0 then begin
     set_stable t f false;
-    t.free_list <- f :: t.free_list;
+    if t.n_free = Array.length t.free then begin
+      let free = Array.make (max 1024 (2 * t.n_free)) 0 in
+      Array.blit t.free 0 free 0 t.n_free;
+      t.free <- free
+    end;
+    t.free.(t.n_free) <- f;
+    t.n_free <- t.n_free + 1;
     t.live <- t.live - 1
   end
 
@@ -134,20 +145,21 @@ let check_invariants t =
     match t.capacity with Some cap -> t.live > cap | None -> false
   then err "frame_table: %d live frames exceed the capacity" t.live
   else begin
-    let bad_free =
-      List.find_opt (fun f -> f < 0 || f >= t.used || t.refs.(f) > 0) t.free_list
-    in
+    (* a sorted copy of the stack's live part, not its spare capacity *)
+    let free = Array.sub t.free 0 t.n_free in
+    Array.sort Int.compare free;
+    let bad_free = Array.find_opt (fun f -> f < 0 || f >= t.used || t.refs.(f) > 0) free in
     let dup_free =
-      let sorted = List.sort Int.compare t.free_list in
-      let rec dup = function
-        | a :: (b :: _ as rest) -> if a = b then Some a else dup rest
-        | _ -> None
+      let rec dup k =
+        if k + 1 >= Array.length free then None
+        else if free.(k) = free.(k + 1) then Some free.(k)
+        else dup (k + 1)
       in
-      dup sorted
+      dup 0
     in
     match (bad_free, dup_free) with
-    | Some f, _ -> err "frame_table: free-list frame %d is out of range or still referenced" f
-    | None, Some f -> err "frame_table: frame %d appears twice on the free list" f
+    | Some f, _ -> err "frame_table: free-stack frame %d is out of range or still referenced" f
+    | None, Some f -> err "frame_table: frame %d appears twice on the free stack" f
     | None, None ->
       let rec scan f =
         if f >= t.used then Ok ()

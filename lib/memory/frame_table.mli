@@ -7,10 +7,12 @@
 
     The table is laid out flat: three arrays indexed by frame id and
     doubled together when full - 8 bytes of digest, one [int] refcount
-    and one stable-flag byte, 17 bytes per frame. No frame is a heap
-    block of its own, so a content write allocates nothing that
-    outlives it and the major GC has no per-frame blocks to mark or
-    sweep. *)
+    and one stable-flag byte, 17 bytes per frame. Freed frames go on a
+    free stack, an [int array] of frame ids plus a count that doubles
+    when full; {!alloc} reuses the most recently freed frame first. No
+    frame is a heap block of its own and freeing one conses nothing, so
+    neither a content write nor a merge's free allocates on the minor
+    heap, and the major GC has no per-frame blocks to mark or sweep. *)
 
 type t
 
@@ -35,7 +37,8 @@ val note_cow_break : t -> unit
 exception Out_of_memory_frames
 
 val alloc : t -> Page.Content.t -> frame
-(** Allocate a fresh private frame holding the given content. *)
+(** Allocate a fresh private frame holding the given content: the most
+    recently freed frame if there is one, else a never-used id. *)
 
 val is_live : t -> frame -> bool
 (** Whether the frame is currently allocated. Every other accessor
@@ -74,7 +77,7 @@ val sharing_savings_pages : t -> int
 
 val check_invariants : t -> (unit, string) result
 (** Structural sanity, checkable at any point: the live counter matches
-    the number of referenced slots, capacity is respected, the free list
+    the number of referenced slots, capacity is respected, the free stack
     holds only unreferenced in-range frames with no duplicates, no
     refcount is negative, and no freed frame is still flagged stable.
     [Error] describes the first violation. The fuzzer and the qcheck

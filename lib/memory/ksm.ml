@@ -33,6 +33,13 @@ type slot = {
      uses it to reuse cached checksums on clean pages; the incremental
      sweep additionally uses it to pick which pages to visit at all. *)
   rescan : Dirty.t;
+  (* bit [i] set means the last visit left page [i] on a stable frame.
+     Only a write moves a page off its frame (KSM remaps only the page it
+     is visiting, and a frame stays stable while referenced), and every
+     write sets the page's [rescan] bit: so a page settled here and clean
+     in [rescan] would be a no-op visit, and the full sweep steps over
+     runs of them a word at a time. *)
+  settled : Dirty.t;
 }
 
 let never_scanned = -1
@@ -124,7 +131,9 @@ let register t space =
       Dirty.set rescan i
     done;
     Address_space.watch_writes space rescan;
-    let slot = { space; checksums = Array.make pages never_scanned; rescan } in
+    let slot =
+      { space; checksums = Array.make pages never_scanned; rescan; settled = Dirty.create pages }
+    in
     if t.n_slots = Array.length t.slots then begin
       let grown = Array.make (max 4 (2 * t.n_slots)) slot in
       Array.blit t.slots 0 grown 0 t.n_slots;
@@ -199,11 +208,13 @@ let promote_to_stable t space i =
 
 (* The unstable tree holds one candidate per content recorded earlier in
    this pass; an entry is only useful while its slot/page still exists
-   and still holds that content. *)
+   and still holds that content. Answers whether page [i] was merged. *)
 let scan_unstable t slot_idx space i checksum f =
   let self = (slot_idx lsl 32) lor i in
   match Int_tbl.find t.unstable checksum with
-  | exception Not_found -> Int_tbl.replace t.unstable checksum self
+  | exception Not_found ->
+    Int_tbl.replace t.unstable checksum self;
+    false
   | enc ->
     let idx' = enc lsr 32 and i' = enc land 0xFFFF_FFFF in
     let valid =
@@ -213,18 +224,23 @@ let scan_unstable t slot_idx space i checksum f =
       i' < Address_space.pages space'
       && Page.Content.equal (Address_space.read space' i') (Address_space.read space i)
     in
-    if not valid then Int_tbl.replace t.unstable checksum self
+    if not valid then begin
+      Int_tbl.replace t.unstable checksum self;
+      false
+    end
     else
       let space' = t.slots.(idx').space in
-      if not (space' == space && i' = i) then begin
-        let f' = Address_space.frame_at space' i' in
-        if f' <> f then begin
-          (* Two distinct frames with equal content: promote the earlier
-             candidate to the stable tree and merge this page into it. *)
-          let s = promote_to_stable t space' i' in
-          merge_into_stable t space i s;
-          Int_tbl.remove t.unstable checksum
-        end
+      (* the candidate may be this very page, recorded earlier in the
+         pass: then it sits on frame [f] too *)
+      let f' = Address_space.frame_at space' i' in
+      if f' = f then false
+      else begin
+        (* Two distinct frames with equal content: promote the earlier
+           candidate to the stable tree and merge this page into it. *)
+        let s = promote_to_stable t space' i' in
+        merge_into_stable t space i s;
+        Int_tbl.remove t.unstable checksum;
+        true
       end
 
 let scan_page t slot_idx slot i =
@@ -247,27 +263,32 @@ let scan_page t slot_idx slot i =
   in
   slot.checksums.(i) <- checksum;
   let f = Address_space.frame_at space i in
-  if Frame_table.is_stable t.table f then
-    (* Already merged; nothing to do this pass. *)
-    ()
-  else
-    let s = stable_lookup t space i checksum in
-    if s <> no_frame then begin
-      if s <> f then merge_into_stable t space i s
-    end
-    else if previous <> never_scanned && previous <> checksum then begin
-      (* Volatile page: the content moved since the previous scan, so it
-         would only pollute the unstable tree (real ksmd's checksum
-         skip). A page seen for the first time is taken at face value. *)
-      t.volatile_skips <- t.volatile_skips + 1;
-      Sim.Telemetry.incr t.m_volatile;
-      (* keep the churner in the rescan set: the incremental sweep
-         only visits dirty pages, and a page that settles after one
-         write must still get the quiescent revisit that admits it to
-         the unstable tree *)
-      Dirty.set slot.rescan i
-    end
-    else scan_unstable t slot_idx space i checksum f
+  let settled =
+    if Frame_table.is_stable t.table f then
+      (* Already merged; nothing to do this pass. *)
+      true
+    else
+      let s = stable_lookup t space i checksum in
+      if s <> no_frame then begin
+        if s <> f then merge_into_stable t space i s;
+        true
+      end
+      else if previous <> never_scanned && previous <> checksum then begin
+        (* Volatile page: the content moved since the previous scan, so it
+           would only pollute the unstable tree (real ksmd's checksum
+           skip). A page seen for the first time is taken at face value. *)
+        t.volatile_skips <- t.volatile_skips + 1;
+        Sim.Telemetry.incr t.m_volatile;
+        (* keep the churner in the rescan set: the incremental sweep
+           only visits dirty pages, and a page that settles after one
+           write must still get the quiescent revisit that admits it to
+           the unstable tree *)
+        Dirty.set slot.rescan i;
+        false
+      end
+      else scan_unstable t slot_idx space i checksum f
+  in
+  if settled then Dirty.set slot.settled i else ignore (Dirty.test_and_clear slot.settled i)
 
 let total_pages t =
   let acc = ref 0 in
@@ -286,10 +307,33 @@ let complete_pass t =
   if not t.config.incremental then Int_tbl.reset t.unstable;
   emit t "full pass %d complete (%d merges so far)" t.full_scans t.merges
 
-let advance_cursor t =
-  if t.n_slots > 0 then begin
-    t.cursor_page <- t.cursor_page + 1;
-    if t.cursor_page >= Address_space.pages t.slots.(t.cursor_space).space then begin
+(* Full sweep: every wakeup visits the next [pages_to_scan] pages in
+   order. A run of settled pages with no write since their last visit is
+   stepped over in bulk - each of them would be a no-op visit that only
+   reuses its cached checksum - and counted as that many visits; any
+   other page is visited. A run stops at the end of its slot, so the
+   cursor and pass accounting move exactly as page-by-page visits would
+   move them. Every space has at least one page, so the wakeup visits
+   exactly [pages_to_scan] pages. *)
+let scan_once_full t =
+  let budget = ref t.config.pages_to_scan in
+  while !budget > 0 do
+    let slot = t.slots.(t.cursor_space) in
+    let page = t.cursor_page in
+    let run = Dirty.run_set_clean slot.settled ~unless:slot.rescan page ~limit:!budget in
+    let step =
+      if run > 0 then begin
+        t.clean_skips <- t.clean_skips + run;
+        run
+      end
+      else begin
+        scan_page t t.cursor_space slot page;
+        1
+      end
+    in
+    budget := !budget - step;
+    if page + step < Address_space.pages slot.space then t.cursor_page <- page + step
+    else begin
       t.cursor_page <- 0;
       t.cursor_space <- t.cursor_space + 1;
       if t.cursor_space >= t.n_slots then begin
@@ -297,21 +341,8 @@ let advance_cursor t =
         complete_pass t
       end
     end
-  end
-
-let scan_once_full t =
-  let scanned = ref 0 in
-  for _ = 1 to t.config.pages_to_scan do
-    if t.cursor_space < t.n_slots then begin
-      let slot = t.slots.(t.cursor_space) in
-      if t.cursor_page < Address_space.pages slot.space then begin
-        scan_page t t.cursor_space slot t.cursor_page;
-        incr scanned
-      end;
-      advance_cursor t
-    end
   done;
-  Sim.Telemetry.add t.m_scanned !scanned
+  Sim.Telemetry.add t.m_scanned t.config.pages_to_scan
 
 (* Incremental sweep: visit only pages whose rescan bit is set (written
    since their last visit, or never scanned). A space whose rescan
@@ -424,6 +455,22 @@ let check_invariants t =
         && not (Frame_table.is_stable t.table f)
       then fail "stable-tree frame %d is not flagged stable" f)
     t.stable;
+  (* A settled page with no write since its last visit - one the full
+     sweep steps over - still sits on a live stable frame, and its cached
+     checksum is the hash of its content. *)
+  for k = 0 to t.n_slots - 1 do
+    let { space; checksums; rescan; settled } = t.slots.(k) in
+    Dirty.fold_dirty settled
+      (fun () i ->
+        if not (Dirty.is_dirty rescan i) then begin
+          let f = Address_space.frame_at space i in
+          if not (Frame_table.is_live t.table f && Frame_table.is_stable t.table f) then
+            fail "settled page %s[%d] is not on a live stable frame" (Address_space.name space) i
+          else if checksums.(i) <> Page.Content.hash (Frame_table.content t.table f) then
+            fail "settled page %s[%d] has a stale checksum" (Address_space.name space) i
+        end)
+      ()
+  done;
   (* Sharing accounting: merging is the only source of frame sharing, so
      the references saved can never exceed the merges performed. *)
   if pages_sharing t > t.merges then

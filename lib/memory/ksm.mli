@@ -8,7 +8,22 @@
     rebuilt on every full pass, a per-page {e checksum} that keeps
     volatile (churning) pages out of the unstable tree, and the
     [pages_to_scan] / [sleep_millisecs] pacing knobs from
-    [/sys/kernel/mm/ksm]. The scan hot path is allocation-free. *)
+    [/sys/kernel/mm/ksm]. The scan hot path is allocation-free.
+
+    Each registered space carries two bitmaps over its pages: a
+    {e rescan} set, which a write observer marks on every write (and
+    which holds every page not yet visited), and a {e settled} set, bit
+    [i] of which the last visit of page [i] set when it left the page on
+    a stable frame - found there or merged into one - and cleared
+    otherwise. A page that is settled and not in the rescan set would be
+    a no-op visit: only a write moves a page off its frame, and a frame
+    stays stable while anything references it. The full sweep therefore
+    steps over each run of such pages with one bitmap test per 32 pages
+    ({!Dirty.run_set_clean}), capped by the wakeup's remaining budget
+    and the end of the space, and counts them as scanned pages and
+    reused checksums; it visits every other page one at a time. Merges,
+    CoW breaks, counters, pass times and the cursor come out exactly as
+    page-by-page visits would leave them. *)
 
 type config = {
   pages_to_scan : int;  (** pages examined per wakeup (Linux default 100) *)
@@ -74,8 +89,9 @@ val pages_volatile_skipped : t -> int
 val pages_rescan_avoided : t -> int
 (** Page examinations that reused the cached checksum because no write
     was observed since the page's previous scan - the read + hash was
-    skipped. Applies in both full and incremental modes; behaviour is
-    unchanged, only cost.
+    skipped; pages the full sweep steps over in bulk count here too.
+    Applies in both full and incremental modes; behaviour is unchanged,
+    only cost.
 Test hook: tests check the checksum cache with it. *)
 
 val pages_shared : t -> int
@@ -93,7 +109,10 @@ val unstable_candidates : t -> int
 val check_invariants : t -> (unit, string) result
 (** Structural sanity of the daemon's state, checkable at any point
     between scans: no page is current in both trees, still-valid
-    stable-tree entries are flagged stable, and the sharing counters are
+    stable-tree entries are flagged stable, every page that is settled
+    and not in the rescan set sits on a live stable frame under a cached
+    checksum equal to its content's hash (what makes the full sweep's
+    bulk step exact), and the sharing counters are
     consistent ([pages_sharing <= pages_merged],
     [pages_shared <=] stable-table size). [Error] describes the first
     violation; the property suites call this after every random

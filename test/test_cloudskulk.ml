@@ -54,11 +54,6 @@ let mk_world ?(seed = 42) () =
 let launch_target host = Result.get_ok (Vmm.Hypervisor.launch host (target_config ()))
 
 let install ?(config = None) ctx host registry =
-  let config =
-    match config with
-    | Some c -> Some c
-    | None -> Some (Cloudskulk.Install.default_config ~target_name:"guest0")
-  in
   match Cloudskulk.Install.run ?config ctx ~host ~registry ~target_name:"guest0" with
   | Ok r -> r
   | Error e -> Alcotest.fail ("install failed: " ^ e)
@@ -210,7 +205,7 @@ let install_tests =
         ignore (launch_target host);
         let config =
           {
-            (Cloudskulk.Install.default_config ~target_name:"guest0") with
+            Cloudskulk.Install.default_config with
             Cloudskulk.Install.strategy =
               Migration.Wiring.Post_copy Migration.Postcopy.default_config;
           }
@@ -374,7 +369,7 @@ let baseline_tests =
         let ctx, _, host, registry = mk_world () in
         ignore (launch_target host);
         let config =
-          { (Cloudskulk.Install.default_config ~target_name:"guest0") with
+          { Cloudskulk.Install.default_config with
             Cloudskulk.Install.use_vtx = false }
         in
         ignore (install ~config:(Some config) ctx host registry);
@@ -410,7 +405,7 @@ let baseline_tests =
         Vmm.Vm.set_os_release target "CustomerOS 7";
         let expected = Cloudskulk.Vmi_fingerprint.take target in
         let config =
-          { (Cloudskulk.Install.default_config ~target_name:"guest0") with
+          { Cloudskulk.Install.default_config with
             Cloudskulk.Install.impersonate = false }
         in
         let r = install ~config:(Some config) ctx host registry in

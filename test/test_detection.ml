@@ -46,7 +46,7 @@ let detection_tests =
         (* the evasion that defeats the VMCS baseline does not help
            against memory deduplication *)
         let config =
-          { (Cloudskulk.Install.default_config ~target_name:"guest0") with
+          { Cloudskulk.Install.default_config with
             Cloudskulk.Install.use_vtx = false }
         in
         let sc = Cloudskulk.Scenarios.infected ~install_config:config (Sim.Ctx.create ()) in

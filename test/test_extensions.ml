@@ -117,7 +117,7 @@ let auditor_tests =
              (Vmm.Hypervisor.processes host)
              ~name:"dnf" ~cmdline:"/usr/bin/dnf makecache");
         let config =
-          { (Cloudskulk.Install.default_config ~target_name:"guest0") with
+          { Cloudskulk.Install.default_config with
             Cloudskulk.Install.use_vtx = false }
         in
         (match Cloudskulk.Install.run ~config ctx ~host ~registry ~target_name:"guest0" with

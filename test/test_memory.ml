@@ -56,6 +56,21 @@ let frame_tests =
         decref t f;
         let f2 = alloc t (Memory.Page.Content.of_int 2) in
         Alcotest.(check int) "same slot" f f2);
+    Alcotest.test_case "alloc returns the most recently freed frame first" `Quick (fun () ->
+        (* 1500 frees outgrow the free stack's first 1024 slots, so the
+           reuse order is checked across a stack growth too *)
+        let t = create (Sim.Ctx.create ()) in
+        let n = 1500 in
+        let frames = Array.init n (fun k -> alloc t (Memory.Page.Content.of_int k)) in
+        let order = Array.init n (fun k -> frames.((k * 7) mod n)) in
+        Array.iter (decref t) order;
+        (match check_invariants t with Ok () -> () | Error e -> Alcotest.fail e);
+        let reused = Array.init n (fun k -> alloc t (Memory.Page.Content.of_int (n + k))) in
+        let last_freed_first = Array.init n (fun k -> order.(n - 1 - k)) in
+        Alcotest.(check (array int)) "reverse of the free order" last_freed_first reused;
+        Alcotest.(check int) "an empty stack hands out a fresh id" n
+          (alloc t (Memory.Page.Content.of_int 0));
+        match check_invariants t with Ok () -> () | Error e -> Alcotest.fail e);
     Alcotest.test_case "capacity enforced" `Quick (fun () ->
         let t = create ~capacity_frames:2 (Sim.Ctx.create ()) in
         ignore (alloc t (Memory.Page.Content.of_int 1));
@@ -637,6 +652,46 @@ let ksm_tests =
         Alcotest.(check int) "pass covered the late space" 1 (Memory.Ksm.full_scans ksm);
         Alcotest.(check int) "a0/b1 merged" (Memory.Address_space.frame_at a 0)
           (Memory.Address_space.frame_at b 1));
+    Alcotest.test_case "a CoW write to a settled page makes the next wakeup visit it" `Quick
+      (fun () ->
+        (* pages_to_scan = population, so each scan_once is one full
+           pass. Once merged, every page is settled and a wakeup steps
+           over all of them. Rewriting b3 with the content it already
+           holds breaks CoW onto a private frame; a wakeup that stepped
+           over b3 would leave it there, one that visits it merges it
+           back into the stable frame. *)
+        let _, ft, ksm =
+          make_ksm_world ~config:{ pages_to_scan = 16; sleep = Sim.Time.ms 1.; incremental = false } ()
+        in
+        let a = Memory.Address_space.create_root ft ~name:"a" ~pages:8 in
+        let b = Memory.Address_space.create_root ft ~name:"b" ~pages:8 in
+        for i = 0 to 7 do
+          ignore (Memory.Address_space.write a i (Memory.Page.Content.of_int (40 + i)));
+          ignore (Memory.Address_space.write b i (Memory.Page.Content.of_int (40 + i)))
+        done;
+        Memory.Ksm.register ksm a;
+        Memory.Ksm.register ksm b;
+        let ok () = match Memory.Ksm.check_invariants ksm with Ok () -> () | Error e -> Alcotest.fail e in
+        Memory.Ksm.scan_once ksm;
+        Memory.Ksm.scan_once ksm;
+        ok ();
+        Alcotest.(check int) "all eight merged" 8 (Memory.Ksm.pages_merged ksm);
+        let avoided = Memory.Ksm.pages_rescan_avoided ksm in
+        Memory.Ksm.scan_once ksm;
+        Alcotest.(check int) "a settled pass reuses all 16 checksums" (avoided + 16)
+          (Memory.Ksm.pages_rescan_avoided ksm);
+        let stable = Memory.Address_space.frame_at a 3 in
+        let kind = Memory.Address_space.write b 3 (Memory.Page.Content.of_int 43) in
+        Alcotest.(check bool) "cow" true (kind = Memory.Address_space.Cow_break);
+        Alcotest.(check bool) "b3 left the stable frame" true
+          (Memory.Address_space.frame_at b 3 <> stable);
+        ok ();
+        Memory.Ksm.scan_once ksm;
+        ok ();
+        Alcotest.(check int) "b3 merged back" stable (Memory.Address_space.frame_at b 3);
+        Alcotest.(check int) "one more merge" 9 (Memory.Ksm.pages_merged ksm);
+        Alcotest.(check int) "b3 rehashed, the other 15 reused" (avoided + 16 + 15)
+          (Memory.Ksm.pages_rescan_avoided ksm));
     Alcotest.test_case "churning pages stay out of the unstable tree until quiescent" `Quick
       (fun () ->
         (* pages_to_scan = population, so each scan_once is one full
@@ -1062,11 +1117,16 @@ let mem_props =
               [n] ranges across several words. [dirty_count] is checked
               after every step: KSM's incremental sweep skips a space on
               [dirty_count = 0] alone, which is exact only while the
-              count is zero precisely when no bit is set. *)
+              count is zero precisely when no bit is set. A second
+              bitmap [u] with its own model is the [unless] side of
+              [run_set_clean], the full KSM sweep's step over settled
+              pages. *)
            let open Memory.Dirty in
            let d = create n in
            let scratch = create n in
            let model = Array.make n false in
+           let u = create n in
+           let u_model = Array.make n false in
            let r = Sim.Rng.create seed in
            let agree () =
              dirty_count d = Array.fold_left (fun a b -> if b then a + 1 else a) 0 model
@@ -1080,11 +1140,36 @@ let mem_props =
            in
            let ok = ref true in
            for _ = 1 to 300 do
-             (match Sim.Rng.int r 7 with
+             (match Sim.Rng.int r 9 with
              | 0 ->
                let i = Sim.Rng.int r n in
                set d i;
                model.(i) <- true
+             | 7 ->
+               let i = Sim.Rng.int r n in
+               if Sim.Rng.bool r then begin
+                 set u i;
+                 u_model.(i) <- true
+               end
+               else begin
+                 ignore (test_and_clear u i);
+                 u_model.(i) <- false
+               end
+             | 8 ->
+               (* any start in [0, n], and limits below, at and past the
+                  remaining length; half the time [d] is first set over
+                  a stretch that can span whole words *)
+               let from = Sim.Rng.int r (n + 1) and limit = Sim.Rng.int r (n + 2) in
+               if Sim.Rng.bool r then
+                 for i = from to min (n - 1) (from + Sim.Rng.int r 70) do
+                   set d i;
+                   model.(i) <- true
+                 done;
+               let rec run i =
+                 if i >= n || i - from >= limit || (not model.(i)) || u_model.(i) then i - from
+                 else run (i + 1)
+               in
+               if run_set_clean d ~unless:u from ~limit <> run from then ok := false
              | 1 ->
                clear d;
                Array.fill model 0 n false
@@ -1194,6 +1279,118 @@ let mem_props =
              check ()
            done;
            !ok));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"one k-page full-sweep wakeup leaves what k one-page wakeups leave" ~count:20
+         QCheck.(pair small_int (int_range 2 100))
+         (fun (seed, k) ->
+           (* Two worlds run one random register/unregister/write/scan
+              schedule. On each scan step [bulk] wakes once with a
+              budget of [k] pages and [single] wakes [k] times with a
+              budget of one, so only [bulk] steps over runs of settled
+              pages longer than one. Space sizes straddle the 32-page
+              bitmap word, and [k] reaches past whole spaces and whole
+              passes, so runs cross word, slot and pass boundaries. A
+              four-content alphabet makes most pages merge and settle. *)
+           let world pages_to_scan =
+             let telemetry = Sim.Telemetry.create () in
+             let ctx = Sim.Ctx.create ~seed ~telemetry () in
+             let ft = Memory.Frame_table.create ctx in
+             let ksm =
+               Memory.Ksm.create
+                 ~config:{ pages_to_scan; sleep = Sim.Time.ms 1.; incremental = false }
+                 ctx ft
+             in
+             (telemetry, ft, ksm)
+           in
+           let ((tb, _, bulk) as wb) = world k and ((ts, _, single) as ws) = world 1 in
+           let r = Sim.Rng.create seed in
+           (* registered spaces, newest first, as (bulk's, single's) *)
+           let registered = ref [] in
+           let next = ref 0 in
+           let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "seed %d, k %d: %s" seed k m) fmt in
+           let check_world (_, ft, ksm) =
+             (match Memory.Ksm.check_invariants ksm with Ok () -> () | Error e -> fail "%s" e);
+             match Memory.Frame_table.check_invariants ft with Ok () -> () | Error e -> fail "%s" e
+           in
+           let scanned telemetry =
+             Option.value ~default:0. (Sim.Telemetry.value telemetry "ksm_pages_scanned_total")
+           in
+           let compare () =
+             List.iter
+               (fun (sb, ss) ->
+                 for i = 0 to Memory.Address_space.pages sb - 1 do
+                   if Memory.Address_space.frame_at sb i <> Memory.Address_space.frame_at ss i then
+                     fail "%s[%d] on frame %d vs %d" (Memory.Address_space.name sb) i
+                       (Memory.Address_space.frame_at sb i) (Memory.Address_space.frame_at ss i)
+                 done)
+               !registered;
+             let same what f = if f bulk <> f single then fail "%s: %d vs %d" what (f bulk) (f single) in
+             same "full_scans" Memory.Ksm.full_scans;
+             same "pages_merged" Memory.Ksm.pages_merged;
+             same "pages_rescan_avoided" Memory.Ksm.pages_rescan_avoided;
+             same "pages_volatile_skipped" Memory.Ksm.pages_volatile_skipped;
+             if scanned tb <> scanned ts then
+               fail "ksm_pages_scanned_total: %.0f vs %.0f" (scanned tb) (scanned ts);
+             (* the pass time is a function of the pacing and the
+                registered population alone *)
+             let pages =
+               List.fold_left (fun n (s, _) -> n + Memory.Address_space.pages s) 0 !registered
+             in
+             let pass_time ksm wakeups =
+               if Memory.Ksm.time_for_full_pass ksm <> Sim.Time.mul (Sim.Time.ms 1.) (float_of_int wakeups)
+               then fail "time_for_full_pass off for %d pages" pages
+             in
+             pass_time bulk ((pages + k - 1) / k);
+             pass_time single pages
+           in
+           let add_space () =
+             let pages = [| 1; 5; 31; 32; 33; 64; 70 |].(Sim.Rng.int r 7) in
+             let contents = Array.init pages (fun _ -> Memory.Page.Content.of_int (Sim.Rng.int r 4)) in
+             let make (_, ft, ksm) =
+               let s =
+                 Memory.Address_space.create_root ft ~name:(Printf.sprintf "s%d" !next) ~pages
+               in
+               Memory.Address_space.load s ~offset:0 contents;
+               Memory.Ksm.register ksm s;
+               s
+             in
+             incr next;
+             let sb = make wb in
+             registered := (sb, make ws) :: !registered
+           in
+           add_space ();
+           add_space ();
+           for _ = 1 to 50 do
+             (match Sim.Rng.int r 20 with
+             | 0 | 1 -> add_space ()
+             | 2 -> (
+               match !registered with
+               | [] -> ()
+               | spaces ->
+                 let sb, ss = List.nth spaces (Sim.Rng.int r (List.length spaces)) in
+                 Memory.Ksm.unregister bulk sb;
+                 Memory.Ksm.unregister single ss;
+                 registered := List.filter (fun (s, _) -> s != sb) spaces)
+             | 3 | 4 | 5 | 6 | 7 -> (
+               match !registered with
+               | [] -> ()
+               | spaces ->
+                 let sb, ss = List.nth spaces (Sim.Rng.int r (List.length spaces)) in
+                 let i = Sim.Rng.int r (Memory.Address_space.pages sb) in
+                 let c = Memory.Page.Content.of_int (Sim.Rng.int r 4) in
+                 ignore (Memory.Address_space.write sb i c);
+                 ignore (Memory.Address_space.write ss i c))
+             | _ ->
+               Memory.Ksm.scan_once bulk;
+               check_world wb;
+               for _ = 1 to k do
+                 Memory.Ksm.scan_once single;
+                 check_world ws
+               done);
+             compare ()
+           done;
+           true));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"refcounts never go negative through write storms" ~count:50
          QCheck.(small_int)

@@ -351,7 +351,7 @@ let service_tests =
           let sc =
             Cloudskulk.Scenarios.infected ~customer_memory_mb:256
               ~install_config:
-                { (Cloudskulk.Install.default_config ~target_name:"guest0") with
+                { Cloudskulk.Install.default_config with
                   Cloudskulk.Install.use_vtx = false }
               ctx
           in
